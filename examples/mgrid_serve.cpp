@@ -46,7 +46,8 @@
 //             trace_id % span_period == 0 get a queue/wal/apply/visible
 //             stage breakdown on /tracez; 0 disables sampling]
 //
-// Durability (synthetic mode):
+// Durability (synthetic mode; replay mode takes wal_dir= and fsync= and
+// writes the WAL only — its bytes are identical for any workers=/sources=):
 //   wal_dir  [directory for the write-ahead log + snapshots; enables both]
 //   fsync    [never|every_tick|every_record; default every_tick]
 //   snapshot_every [ticks between directory snapshots; 0 = WAL only]
@@ -256,6 +257,14 @@ int run_replay(const util::Config& config) {
   Knobs knobs = read_knobs(config);
   serve::ShardedDirectory directory(knobs.directory,
                                     serve::make_replay_estimator(log.run));
+  const std::string wal_dir = config.get_string("wal_dir", "");
+  std::unique_ptr<serve::WalWriter> wal;
+  if (!wal_dir.empty()) {
+    std::filesystem::create_directories(wal_dir);
+    wal = std::make_unique<serve::WalWriter>(wal_dir + "/wal.log",
+                                             read_fsync_policy(config));
+    knobs.ingest.wal = wal.get();
+  }
   serve::ReplayReport report;
   double wall_seconds = 0.0;
   {
@@ -294,7 +303,7 @@ int run_replay(const util::Config& config) {
     const std::unique_ptr<serve::AdminServer> admin =
         start_admin(config, std::move(admin_hooks));
     const auto start = std::chrono::steady_clock::now();
-    report = serve::replay_eventlog(log, directory, pipeline);
+    report = serve::replay_eventlog(log, directory, pipeline, wal.get());
     wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();

@@ -38,7 +38,7 @@ enum class LuStage : std::uint8_t {
   kRouterBatch = 0,    ///< router submit to batch flush (cluster only)
   kNet = 1,            ///< batch flush to shard receive (cluster only)
   kQueue = 2,          ///< source-queue wait (submit to worker pickup)
-  kWal = 3,            ///< WAL append (+fsync) inside submit
+  kWal = 3,            ///< WAL append in submit + the batch's WAL write
   kApply = 4,          ///< directory apply_batch
   kVisible = 5,        ///< apply end to visible-to-lookup
   kFollowerApply = 6,  ///< replication-stream apply on a follower

@@ -81,6 +81,10 @@ IngestPipeline::IngestPipeline(ShardedDirectory& directory,
   } else {
     shed_threshold_ = std::numeric_limits<std::size_t>::max();
   }
+  wake_depth_ = std::min(options_.batch_size, shed_threshold_);
+  if (options_.queue_capacity > 0) {
+    wake_depth_ = std::min(wake_depth_, options_.queue_capacity);
+  }
   paused_ = options_.start_paused;
   queues_.reserve(options_.sources);
   for (std::size_t i = 0; i < options_.sources; ++i) {
@@ -93,6 +97,10 @@ IngestPipeline::IngestPipeline(ShardedDirectory& directory,
     // Exemplar buckets mirror the enqueue-to-apply latency histogram, so a
     // /tracez exemplar maps 1:1 onto a /metrics bucket.
     options_.spans->register_sli("update_latency", 0.0, 0.1, 100);
+  }
+  slots_.reserve(options_.workers);
+  for (std::size_t i = 0; i < options_.workers; ++i) {
+    slots_.push_back(std::make_unique<WorkerSlot>());
   }
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -126,7 +134,6 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
        options_.spans->sampled(static_cast<std::uint32_t>(source), msg.mn,
                                msg.seq));
   SourceQueue& queue = *queues_[source];
-  bool was_empty = false;
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(queue.mutex);
@@ -160,7 +167,6 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
         }
       }
     }
-    was_empty = queue.lus.empty();
     QueuedLu item;
     item.msg = msg;
     item.sampled = span_sampled;
@@ -169,12 +175,14 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
       item.enqueued = std::chrono::steady_clock::now();
     }
     queue.lus.push_back(item);
-    queue.last_position[msg.mn] = geo::Vec2{msg.x, msg.y};
-    // WAL write inside the queue lock: the log's per-MN record order is the
+    if (shed_threshold_ != std::numeric_limits<std::size_t>::max()) {
+      queue.last_position[msg.mn] = geo::Vec2{msg.x, msg.y};
+    }
+    // WAL append inside the queue lock: the log's per-MN record order is the
     // queue's, so serial replay reproduces exactly what the workers apply.
     if (options_.wal != nullptr) {
       if (span_sampled) {
-        // Carve the WAL append (+fsync) out of the queue-wait stage.
+        // Carve the WAL append out of the queue-wait stage.
         const auto wal_start = std::chrono::steady_clock::now();
         options_.wal->append(msg);
         queue.lus.back().wal_ns = static_cast<std::uint64_t>(
@@ -210,28 +218,39 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
     telemetry_->accepted.inc();
     telemetry_->queue_depth[source].set(static_cast<double>(depth));
   }
-  if (was_empty) {
-    // The owning worker may be parked on an empty queue; the lock pairs
-    // with its predicate check so the wakeup cannot be lost.
+  // Wake the owning worker once per batch: when the queue reaches the wake
+  // depth, or when the worker is parked with no timer and this LU is the
+  // first of its queue. Taking control_mutex_ pairs with the worker's
+  // check-then-wait, so the wakeup cannot be lost.
+  WorkerSlot& slot = *slots_[source % slots_.size()];
+  if (depth == wake_depth_ || (depth == 1 && slot.parked.load())) {
     const std::lock_guard<std::mutex> lock(control_mutex_);
-    work_cv_.notify_all();
+    slot.cv.notify_one();
   }
   return true;
+}
+
+void IngestPipeline::wake_all_locked() {
+  for (const std::unique_ptr<WorkerSlot>& slot : slots_) slot->cv.notify_one();
 }
 
 void IngestPipeline::resume() {
   const std::lock_guard<std::mutex> lock(control_mutex_);
   if (!paused_) return;
   paused_ = false;
-  work_cv_.notify_all();
+  ++resume_epoch_;
+  wake_all_locked();
 }
 
 void IngestPipeline::flush() {
   resume();
   std::unique_lock<std::mutex> lock(control_mutex_);
+  ++flushing_;
+  wake_all_locked();
   idle_cv_.wait(lock, [this] {
     return pending_.load(std::memory_order_acquire) == 0;
   });
+  --flushing_;
 }
 
 void IngestPipeline::stop() {
@@ -242,19 +261,61 @@ void IngestPipeline::stop() {
     accepting_.store(false, std::memory_order_release);
     stopping_ = true;
     paused_ = false;
-    work_cv_.notify_all();
+    wake_all_locked();
   }
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
 }
 
-bool IngestPipeline::own_work(std::size_t worker_id) {
+IngestPipeline::OwnWork IngestPipeline::own_work(std::size_t worker_id) {
+  OwnWork work;
   for (std::size_t q = worker_id; q < queues_.size();
        q += options_.workers) {
     const std::lock_guard<std::mutex> lock(queues_[q]->mutex);
-    if (!queues_[q]->lus.empty()) return true;
+    const std::size_t depth = queues_[q]->lus.size();
+    if (depth >= wake_depth_) {
+      work.full = true;
+    } else if (depth > 0) {
+      work.partial = true;
+    }
   }
-  return false;
+  return work;
+}
+
+IngestPipeline::Drain IngestPipeline::await_work(
+    std::size_t worker_id, std::unique_lock<std::mutex>& lock) {
+  using Clock = std::chrono::steady_clock;
+  WorkerSlot& slot = *slots_[worker_id];
+  for (;;) {
+    slot.parked.store(true);
+    const OwnWork work = paused_ ? OwnWork{} : own_work(worker_id);
+    const bool any = work.full || work.partial;
+    if (any) slot.parked.store(false);
+    if (stopping_) return any ? Drain::kAll : Drain::kExit;
+    const bool resumed = slot.resume_epoch != resume_epoch_;
+    slot.resume_epoch = resume_epoch_;
+    if (!any) {
+      slot.linger_deadline = {};
+      slot.cv.wait(lock);
+      continue;
+    }
+    // The first sight of a partial batch starts its linger clock; a full
+    // queue elsewhere does not restart it, so no queue waits unboundedly.
+    bool all = resumed || flushing_ > 0;
+    if (work.partial && !all) {
+      if (slot.linger_deadline == Clock::time_point{}) {
+        slot.linger_deadline = Clock::now() + kMaxLinger;
+      } else {
+        all = Clock::now() >= slot.linger_deadline;
+      }
+    }
+    if (all) {
+      slot.linger_deadline = {};
+      return Drain::kAll;
+    }
+    if (work.full) return Drain::kFull;
+    slot.cv.wait_until(lock, slot.linger_deadline);
+  }
 }
 
 std::vector<std::size_t> IngestPipeline::queue_depths() const {
@@ -289,13 +350,12 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
   batch.reserve(options_.batch_size);
   enqueue_times.reserve(options_.batch_size);
   for (;;) {
+    Drain drain = Drain::kExit;
     {
       std::unique_lock<std::mutex> lock(control_mutex_);
-      work_cv_.wait(lock, [this, worker_id] {
-        return stopping_ || (!paused_ && own_work(worker_id));
-      });
+      drain = await_work(worker_id, lock);
     }
-    bool drained_any = false;
+    if (drain == Drain::kExit) return;
     for (std::size_t q = worker_id; q < queues_.size();
          q += options_.workers) {
       SourceQueue& queue = *queues_[q];
@@ -305,6 +365,7 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
       std::size_t remaining_depth = 0;
       {
         const std::lock_guard<std::mutex> lock(queue.mutex);
+        if (drain == Drain::kFull && queue.lus.size() < wake_depth_) continue;
         const std::size_t take =
             std::min(options_.batch_size, queue.lus.size());
         for (std::size_t i = 0; i < take; ++i) {
@@ -324,7 +385,21 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
         remaining_depth = queue.lus.size();
       }
       if (batch.empty()) continue;
-      drained_any = true;
+      // The batch reaches the WAL file before it becomes visible. A sampled
+      // batch charges the write to its spans' WAL stage.
+      std::uint64_t write_ns = 0;
+      if (options_.wal != nullptr) {
+        if (pending_spans.empty()) {
+          options_.wal->write_pending();
+        } else {
+          const auto write_start = std::chrono::steady_clock::now();
+          options_.wal->write_pending();
+          write_ns = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - write_start)
+                  .count());
+        }
+      }
       std::chrono::steady_clock::time_point apply_start;
       if (!pending_spans.empty()) {
         apply_start = std::chrono::steady_clock::now();
@@ -387,7 +462,7 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
                   visible.time_since_epoch())
                   .count());
           const double wal_seconds =
-              static_cast<double>(pending_span.wal_ns) * 1e-9;
+              static_cast<double>(pending_span.wal_ns + write_ns) * 1e-9;
           const double to_apply_start =
               std::chrono::duration<double>(apply_start -
                                             pending_span.enqueued)
@@ -436,10 +511,6 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
         const std::lock_guard<std::mutex> lock(control_mutex_);
         idle_cv_.notify_all();
       }
-    }
-    if (!drained_any) {
-      const std::lock_guard<std::mutex> lock(control_mutex_);
-      if (stopping_) return;
     }
   }
 }

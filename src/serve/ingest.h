@@ -8,6 +8,22 @@
 // by destination shard and apply it under one shard lock per group, which
 // amortises locking at high rates.
 //
+// Wake policy: a worker costs one wake per drained batch, not one per LU.
+// A submit wakes its queue's owning worker only when the queue reaches
+// wake_depth = min(batch_size, shed threshold, queue_capacity) — the last
+// two only when set — or when it lands in an empty queue of a worker that
+// is parked with no work at all. Each worker has its own condition
+// variable. A worker drains full queues as soon as it sees them; a queue
+// holding a partial batch is drained at most kMaxLinger after the worker
+// first sees it, so visibility, pending() and the update-latency SLI stay
+// bounded when no flush comes. A worker with empty queues parks with no
+// timer. flush(), stop() and resume() wake every worker, and their drains
+// take partial batches too.
+//
+// Visibility contract: with a WAL, a worker writes the WAL's pending buffer
+// (WalWriter::write_pending) before it applies a batch, so an LU a lookup
+// can see is already in the WAL file.
+//
 // flush() is the barrier the replay driver uses between simulated ticks:
 // it returns once every LU submitted before the call has been applied.
 //
@@ -21,14 +37,14 @@
 // disabled cost per submit is one relaxed atomic load.
 //
 // Latency attribution (options.spans): deterministically sampled LUs carry
-// a per-stage span — source-queue wait, WAL append, directory apply,
-// visible-to-lookup — recorded into an obs::SpanTracer under the
-// "update_latency" SLI. Sampling is a hash of (source, mn, seq), so any
-// worker count selects the byte-identical span set. The stage values tile
-// the span: their sum equals its total exactly. LUs submitted through
-// submit_traced() arrived with a cluster trace context: they keep the
-// upstream trace id and additionally carry the router-batch and network
-// stages computed from the propagated timestamps.
+// a per-stage span — source-queue wait, WAL (append plus the batch's
+// write), directory apply, visible-to-lookup — recorded into an
+// obs::SpanTracer under the "update_latency" SLI. Sampling is a hash of
+// (source, mn, seq), so any worker count selects the byte-identical span
+// set. The stage values tile the span: their sum equals its total exactly.
+// LUs submitted through submit_traced() arrived with a cluster trace
+// context: they keep the upstream trace id and additionally carry the
+// router-batch and network stages computed from the propagated timestamps.
 #pragma once
 
 #include <atomic>
@@ -56,7 +72,8 @@ struct IngestOptions {
   std::size_t sources = 8;
   /// Worker threads (>= 1). Queue q is owned by worker q % workers.
   std::size_t workers = 1;
-  /// Max LUs a worker takes from one queue per drain.
+  /// Max LUs a worker takes from one queue per drain; a queue this deep
+  /// wakes its worker.
   std::size_t batch_size = 256;
   /// Per-queue capacity; submits beyond it are rejected (0 = unbounded).
   std::size_t queue_capacity = 0;
@@ -82,8 +99,9 @@ struct IngestOptions {
   double shed_min_displacement = 5.0;
   /// Write-ahead log: when set, every *accepted* LU is appended under the
   /// source-queue lock — WAL order equals queue order per MN, so serial
-  /// replay reproduces the directory exactly. Shed and rejected LUs never
-  /// reach the WAL. Must outlive the pipeline.
+  /// replay reproduces the directory exactly. Workers write the WAL's
+  /// pending buffer once per batch, before applying it. Shed and rejected
+  /// LUs never reach the WAL. Must outlive the pipeline.
   WalWriter* wal = nullptr;
   /// Latency attribution: when set, deterministically sampled LUs record
   /// stage-sliced spans (queue/wal/apply/visible) under the
@@ -127,6 +145,9 @@ struct IngestStats {
 
 class IngestPipeline {
  public:
+  /// Longest a partial batch waits in a queue once its worker has seen it.
+  static constexpr std::chrono::milliseconds kMaxLinger{1};
+
   /// `directory` must outlive the pipeline. Workers start immediately
   /// (parked when options.start_paused).
   IngestPipeline(ShardedDirectory& directory, IngestOptions options);
@@ -147,11 +168,12 @@ class IngestPipeline {
   bool submit_traced(const wire::LuMsg& msg,
                      const IngestTraceContext& trace);
 
-  /// Releases workers parked by start_paused (no-op otherwise).
+  /// Releases workers parked by start_paused (no-op otherwise); their next
+  /// drain takes partial batches.
   void resume();
 
-  /// Blocks until everything submitted before the call has been applied.
-  /// Implies resume().
+  /// Blocks until everything submitted before the call has been applied;
+  /// workers drain partial batches while it waits. Implies resume().
   void flush();
 
   /// Drains outstanding work and joins the workers. Idempotent; submit()
@@ -190,17 +212,45 @@ class IngestPipeline {
     mutable std::mutex mutex;
     std::deque<QueuedLu> lus;
     /// Last accepted position per MN on this source — the displacement
-    /// baseline for admission control (guarded by `mutex`).
+    /// baseline for admission control, kept only while shedding is enabled
+    /// (guarded by `mutex`).
     std::unordered_map<std::uint32_t, geo::Vec2> last_position;
   };
+
+  /// Per-worker wake state (cv waits use control_mutex_).
+  struct WorkerSlot {
+    std::condition_variable cv;
+    /// True while the worker may park with no timer: a submit into an
+    /// empty queue then wakes it. Set before the worker checks its queues,
+    /// so the queue lock orders it against that submit.
+    std::atomic<bool> parked{false};
+    /// When the partial batches the worker has seen must be drained (the
+    /// clock's epoch while it has seen none). Touched only by the worker.
+    std::chrono::steady_clock::time_point linger_deadline{};
+    /// The resume_epoch_ the worker last acted on.
+    std::uint64_t resume_epoch = 0;
+  };
+
+  /// What a worker's queues hold: `full` when one has reached wake_depth_,
+  /// `partial` when one holds fewer LUs.
+  struct OwnWork {
+    bool full = false;
+    bool partial = false;
+  };
+  /// What a worker's next drain takes.
+  enum class Drain : std::uint8_t { kExit, kFull, kAll };
 
   struct Telemetry;  // registry handles, resolved once at construction
 
   bool submit_internal(const wire::LuMsg& msg,
                        const IngestTraceContext* trace);
   void worker_main(std::size_t worker_id);
-  /// True when any queue owned by `worker_id` holds LUs.
-  [[nodiscard]] bool own_work(std::size_t worker_id);
+  /// Parks `worker_id` until it has work to drain and says what the drain
+  /// takes. Called with control_mutex_ held (via `lock`).
+  Drain await_work(std::size_t worker_id, std::unique_lock<std::mutex>& lock);
+  [[nodiscard]] OwnWork own_work(std::size_t worker_id);
+  /// Wakes every worker (control_mutex_ held).
+  void wake_all_locked();
 
   ShardedDirectory& directory_;
   IngestOptions options_;
@@ -212,15 +262,21 @@ class IngestPipeline {
   std::shared_ptr<Telemetry> telemetry_;
 
   mutable std::mutex control_mutex_;
-  std::condition_variable work_cv_;  ///< Signals workers: work or stop.
+  std::vector<std::unique_ptr<WorkerSlot>> slots_;  ///< One per worker.
   std::condition_variable idle_cv_;  ///< Signals flush(): pending drained.
   bool paused_ = false;
   bool stopping_ = false;
   bool stopped_ = false;
+  /// flush() callers waiting; workers drain partial batches while > 0.
+  std::size_t flushing_ = 0;
+  /// Bumped by resume(): each worker's next drain takes partial batches.
+  std::uint64_t resume_epoch_ = 0;
 
   /// Queue depth at which admission control starts shedding (SIZE_MAX when
   /// shedding is disabled).
   std::size_t shed_threshold_ = 0;
+  /// Queue depth at which a submit wakes the owning worker.
+  std::size_t wake_depth_ = 0;
 
   std::atomic<bool> accepting_{true};
   /// LUs accepted but not yet applied (flush barrier condition).

@@ -105,7 +105,7 @@ std::unique_ptr<estimation::LocationEstimator> make_replay_estimator(
 }
 
 ReplayReport replay_eventlog(const ReplayLog& log, ShardedDirectory& directory,
-                             IngestPipeline& pipeline) {
+                             IngestPipeline& pipeline, WalWriter* wal) {
   ReplayReport report;
   if (!(log.run.sample_period > 0.0)) {
     throw std::runtime_error("replay_eventlog: sample_period must be > 0");
@@ -154,8 +154,9 @@ ReplayReport replay_eventlog(const ReplayLog& log, ShardedDirectory& directory,
     }
     pipeline.flush();
     // Same multiplicative grant times the federation used (t0 = 0).
-    report.estimates +=
-        directory.advance_estimates(static_cast<double>(k) * dt);
+    const double t = static_cast<double>(k) * dt;
+    if (wal != nullptr) wal->append_tick(t, static_cast<std::uint64_t>(k));
+    report.estimates += directory.advance_estimates(t);
   }
   return report;
 }

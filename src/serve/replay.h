@@ -91,7 +91,10 @@ struct ReplayReport {
 
 /// Replays `log` into `directory` through `pipeline` (which must wrap
 /// `directory`), with a flush barrier and an advance_estimates() per tick.
+/// When `wal` is set (the pipeline's WAL), each barrier is also logged as a
+/// tick record.
 ReplayReport replay_eventlog(const ReplayLog& log, ShardedDirectory& directory,
-                             IngestPipeline& pipeline);
+                             IngestPipeline& pipeline,
+                             WalWriter* wal = nullptr);
 
 }  // namespace mgrid::serve

@@ -14,6 +14,19 @@
 // where the frame is a kLu or kTick message exactly as it would travel on
 // the wire (wire.h). The CRC covers the whole frame including its header.
 //
+// Group commit: append() only encodes its record into an in-memory pending
+// buffer. The buffer reaches the file in one write(2) when
+//   * write_pending() is called — the ingest workers call it once per
+//     drained batch, before the batch becomes visible in the directory;
+//   * append_tick() writes a barrier (before its fsync);
+//   * sync() runs or the writer is destroyed;
+//   * the buffer passes kWalMaxPendingBytes, so a writer that never ticks
+//     holds a bounded amount of memory;
+//   * the policy is kEveryRecord, which still writes and fsyncs per record.
+// Records reach the file in append order, so the bytes on disk are the same
+// as a record-at-a-time writer's. A crash loses at most the buffered tail
+// of the unfinished tick, which recovery cuts off anyway.
+//
 // Torn tails are expected after a crash: the reader stops deterministically
 // at the first truncated, CRC-damaged or undecodable record and reports how
 // many clean bytes precede it, so a recovering process can truncate the
@@ -30,8 +43,19 @@
 
 namespace mgrid::serve {
 
-/// CRC-32C (Castagnoli), software table implementation. Public for tests.
+/// CRC-32C (Castagnoli). Uses the SSE4.2 crc32 instruction when the CPU
+/// has it and the table implementation otherwise.
 [[nodiscard]] std::uint32_t crc32c(const std::uint8_t* data, std::size_t len);
+/// The byte-at-a-time table implementation. Public for tests.
+[[nodiscard]] std::uint32_t crc32c_table(const std::uint8_t* data,
+                                         std::size_t len);
+/// The SSE4.2 implementation; falls back to the table when the CPU lacks
+/// SSE4.2. Public for tests.
+[[nodiscard]] std::uint32_t crc32c_sse42(const std::uint8_t* data,
+                                         std::size_t len);
+
+/// Pending bytes past which append() writes the buffer itself.
+inline constexpr std::size_t kWalMaxPendingBytes = 64 * 1024;
 
 /// When the writer calls fsync(2).
 enum class FsyncPolicy : std::uint8_t {
@@ -45,7 +69,9 @@ enum class FsyncPolicy : std::uint8_t {
 /// Appends CRC-framed wire records to a WAL file. Thread-safe: append() may
 /// be called concurrently from ingest submit paths (each append is atomic
 /// under an internal mutex). Lock ordering: callers holding a source-queue
-/// lock may call append(); the WAL never calls back out.
+/// lock may call append(); the WAL never calls back out. The write(2) and
+/// fsync(2) calls run under a second, I/O mutex, so appends do not wait for
+/// the disk.
 class WalWriter {
  public:
   /// Opens (or creates) `path` for appending. When the file is empty a
@@ -59,18 +85,25 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one LU record. Returns false on write failure (the WAL is
-  /// then considered broken; subsequent appends also fail).
+  /// Buffers one LU record. Returns false once the WAL has failed (the WAL
+  /// is then considered broken; subsequent appends also fail).
   bool append(const wire::LuMsg& msg);
-  /// Appends one tick-barrier record, honouring FsyncPolicy::kEveryTick.
+  /// Appends one tick-barrier record and writes the buffer; fsyncs unless
+  /// the policy is kNever.
   bool append_tick(double t, std::uint64_t tick);
 
-  /// Forces an fsync regardless of policy. Returns false on failure.
+  /// Writes every buffered record in one write(2). On return, every record
+  /// appended before the call is in the file. Returns false on failure.
+  bool write_pending();
+
+  /// Writes the buffer, then fsyncs regardless of policy. Returns false on
+  /// failure.
   bool sync();
 
-  /// Records appended by *this writer* (excludes pre-existing content).
+  /// Records appended by *this writer*, buffered ones included (excludes
+  /// pre-existing content).
   [[nodiscard]] std::uint64_t records_appended() const noexcept;
-  /// Bytes appended by this writer.
+  /// Bytes appended by this writer, buffered ones included.
   [[nodiscard]] std::uint64_t bytes_appended() const noexcept;
   /// True once any append or sync has failed.
   [[nodiscard]] bool failed() const noexcept;
@@ -79,14 +112,25 @@ class WalWriter {
   [[nodiscard]] FsyncPolicy policy() const noexcept { return policy_; }
 
  private:
-  bool append_frame_locked(const std::vector<std::uint8_t>& frame);
-  bool sync_locked();
+  /// Encodes `msg` into pending_ behind its CRC; returns the pending size
+  /// afterwards (0 when the WAL has failed).
+  template <typename Msg>
+  std::size_t buffer_record(const Msg& msg);
+  /// Writes the pending buffer, then fsyncs when `fsync`; under io_mutex_.
+  bool commit(bool fsync);
 
   std::string path_;
   FsyncPolicy policy_;
   int fd_ = -1;
+  /// Serialises write(2)/fsync(2) so buffers reach the file in append order.
+  /// Lock order: io_mutex_ before mutex_.
+  std::mutex io_mutex_;
+  /// Guards pending_, the counters and failed_.
   mutable std::mutex mutex_;
-  std::vector<std::uint8_t> scratch_;
+  std::vector<std::uint8_t> pending_;
+  /// The buffer being written (guarded by io_mutex_); swapped with pending_
+  /// so appends continue while write(2) runs.
+  std::vector<std::uint8_t> writing_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
   bool failed_ = false;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <variant>
 #include <vector>
@@ -248,13 +249,71 @@ TEST_F(WalTest, EveryRecordPolicySurvivesRoundTrip) {
   EXPECT_EQ(read_wal(path_).records.size(), 2u);
 }
 
+TEST_F(WalTest, AppendsWithoutATickStayBoundedAndReadBack) {
+  constexpr std::uint32_t kLus = 100000;
+  WalWriter writer(path_, FsyncPolicy::kNever);
+  for (std::uint32_t i = 0; i < kLus; ++i) {
+    ASSERT_TRUE(writer.append(lu(i % 97, 1.0 + i / 97, 1.0, 2.0)));
+  }
+  // The buffer passed its bound many times over: all but the last
+  // kWalMaxPendingBytes already sit in the file.
+  const std::uint64_t on_disk = fs::file_size(path_);
+  EXPECT_GE(on_disk + kWalMaxPendingBytes,
+            sizeof(kWalHeader) + writer.bytes_appended());
+  ASSERT_TRUE(writer.write_pending());
+  EXPECT_EQ(fs::file_size(path_),
+            sizeof(kWalHeader) + writer.bytes_appended());
+  const WalReadResult result = read_wal(path_);
+  EXPECT_EQ(result.status, WalReadStatus::kEnd);
+  ASSERT_EQ(result.records.size(), kLus);
+  const auto* last = std::get_if<wire::LuMsg>(&result.records.back());
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->mn, (kLus - 1) % 97);
+}
+
+TEST_F(WalTest, TickWritesTheBufferedRecords) {
+  WalWriter writer(path_, FsyncPolicy::kNever);
+  ASSERT_TRUE(writer.append(lu(1, 1.0, 0.0, 0.0)));
+  ASSERT_TRUE(writer.append(lu(2, 1.0, 0.0, 0.0)));
+  // Buffered only: the file still holds just its header.
+  EXPECT_EQ(fs::file_size(path_), sizeof(kWalHeader));
+  ASSERT_TRUE(writer.append_tick(1.0, 1));
+  EXPECT_EQ(read_wal(path_).records.size(), 3u);
+}
+
 TEST(WalCrc, MatchesKnownCrc32cVectors) {
-  // RFC 3720 appendix B.4 test vector: 32 zero bytes.
-  const std::vector<std::uint8_t> zeros(32, 0);
-  EXPECT_EQ(crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
-  // "123456789" is the classic check value for CRC-32C: 0xE3069283.
-  const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32c(digits, sizeof(digits)), 0xE3069283u);
+  using Crc = std::uint32_t (*)(const std::uint8_t*, std::size_t);
+  const Crc impls[] = {crc32c, crc32c_table, crc32c_sse42};
+  for (const Crc crc : impls) {
+    // RFC 3720 appendix B.4 test vectors: 32 zero bytes, 32 0xFF bytes.
+    const std::vector<std::uint8_t> zeros(32, 0);
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+    const std::vector<std::uint8_t> ones(32, 0xFF);
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u);
+    // "123456789" is the classic check value for CRC-32C: 0xE3069283.
+    const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6',
+                                   '7', '8', '9'};
+    EXPECT_EQ(crc(digits, sizeof(digits)), 0xE3069283u);
+    EXPECT_EQ(crc(digits, 0), 0u);
+  }
+}
+
+TEST(WalCrc, HardwareAndTablePathsAgreeOnRandomBuffers) {
+  std::mt19937 rng(20070612);
+  std::vector<std::uint8_t> buffer(257 + 8);
+  for (std::uint8_t& byte : buffer) {
+    byte = static_cast<std::uint8_t>(rng());
+  }
+  // Every length 0..257 at several misalignments, so the 8-, 4- and
+  // 1-byte steps of the hardware path all meet the table path.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint8_t* data = buffer.data() + offset;
+      const std::uint32_t expected = crc32c_table(data, len);
+      EXPECT_EQ(crc32c_sse42(data, len), expected) << offset << "+" << len;
+      EXPECT_EQ(crc32c(data, len), expected) << offset << "+" << len;
+    }
+  }
 }
 
 }  // namespace
