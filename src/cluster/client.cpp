@@ -1,145 +1,46 @@
 #include "cluster/client.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
 #include "obs/span.h"
+#include "transport/tcp.h"
 
 namespace mgrid::cluster {
 
-namespace {
-
-void set_io_timeout(int fd, double seconds) {
-  if (seconds <= 0.0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec =
-      static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) *
-                               1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-}  // namespace
-
-int connect_tcp(const std::string& host, std::uint16_t port,
-                double timeout_seconds, std::string& error) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    error = "bad host address " + host;
-    return -1;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    error = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0 && errno != EINPROGRESS) {
-    error = std::string("connect: ") + std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  if (rc != 0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration<double>(timeout_seconds > 0.0 ? timeout_seconds
-                                                            : 5.0);
-    for (;;) {
-      const auto remaining = deadline - std::chrono::steady_clock::now();
-      const auto remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-              .count();
-      if (remaining_ms <= 0) {
-        error = "connect: timed out";
-        ::close(fd);
-        return -1;
-      }
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      const int n = ::poll(&pfd, 1, static_cast<int>(remaining_ms));
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0) {
-        error = std::string("poll: ") + std::strerror(errno);
-        ::close(fd);
-        return -1;
-      }
-      if (n > 0) break;
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
-        so_error != 0) {
-      error = std::string("connect: ") +
-              std::strerror(so_error != 0 ? so_error : errno);
-      ::close(fd);
-      return -1;
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);
-  // LU batches are latency-sensitive and already coalesced by the caller.
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-FrameConn::FrameConn(int fd, double io_timeout_seconds) : fd_(fd) {
-  if (fd_ >= 0) set_io_timeout(fd_, io_timeout_seconds);
+FrameConn::FrameConn(int fd, double io_timeout_seconds, bool owns_fd)
+    : fd_(fd), owns_fd_(owns_fd) {
+  if (fd_ >= 0) transport::set_io_timeout(fd_, io_timeout_seconds);
 }
 
 FrameConn::~FrameConn() { close(); }
 
 FrameConn::FrameConn(FrameConn&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
+      owns_fd_(other.owns_fd_),
       buffer_(std::move(other.buffer_)),
       buffer_pos_(std::exchange(other.buffer_pos_, 0)),
-      error_(std::move(other.error_)),
-      timed_out_(other.timed_out_) {}
+      error_(std::move(other.error_)) {}
 
 FrameConn& FrameConn::operator=(FrameConn&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
+    owns_fd_ = other.owns_fd_;
     buffer_ = std::move(other.buffer_);
     buffer_pos_ = std::exchange(other.buffer_pos_, 0);
     error_ = std::move(other.error_);
-    timed_out_ = other.timed_out_;
   }
   return *this;
 }
 
-int FrameConn::release() {
-  if (buffer_pos_ != buffer_.size()) return -1;
-  buffer_.clear();
-  buffer_pos_ = 0;
-  return std::exchange(fd_, -1);
-}
-
 void FrameConn::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (fd_ >= 0 && owns_fd_) ::close(fd_);
+  fd_ = -1;
   buffer_.clear();
   buffer_pos_ = 0;
 }
@@ -149,23 +50,15 @@ bool FrameConn::send(const std::uint8_t* data, std::size_t size) {
     error_ = "not connected";
     return false;
   }
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n =
-        ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      error_ = std::string("send: ") + std::strerror(errno);
-      close();
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!transport::send_all(fd_, data, size)) {
+    error_ = std::string("send: ") + std::strerror(errno);
+    close();
+    return false;
   }
   return true;
 }
 
-bool FrameConn::recv_message(wire::Message& out, bool idle_ok) {
-  timed_out_ = false;
+bool FrameConn::recv_message(wire::Message& out) {
   if (fd_ < 0) {
     error_ = "not connected";
     return false;
@@ -201,11 +94,7 @@ bool FrameConn::recv_message(wire::Message& out, bool idle_ok) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       error_ = "recv: timed out";
-      if (idle_ok) {
-        timed_out_ = true;  // connection stays open; caller may retry
-      } else {
-        close();
-      }
+      close();
       return false;
     }
     if (n < 0) {
@@ -228,8 +117,9 @@ ShardClient::ShardClient(ShardClientOptions options)
 bool ShardClient::connect(std::string* error) {
   if (conn_.connected()) return true;
   std::string local_error;
-  const int fd = connect_tcp(options_.host, options_.port,
-                             options_.connect_timeout_seconds, local_error);
+  const int fd = transport::connect_tcp(options_.host, options_.port,
+                                        options_.connect_timeout_seconds,
+                                        local_error);
   if (fd < 0) {
     if (error != nullptr) *error = local_error;
     return false;

@@ -5,7 +5,8 @@
 // or truncated bytes surface as a typed error instead of a crash, and
 // send() retries EINTR / short writes. It is the building block for both
 // sides of the cluster plane — ShardClient here, the LU server's
-// per-connection loop, and the follower's replication stream.
+// per-connection loop, and the follower's replication stream. Sockets come
+// from the transport core (transport/tcp.h).
 //
 // ShardClient is the router's handle to one shard node: batched LU
 // forwarding (fire-and-forget — per-LU acks would halve throughput for no
@@ -31,19 +32,15 @@ namespace mgrid::cluster {
 /// The serving plane's wire protocol, under the name cluster code uses.
 namespace wire = serve::wire;
 
-/// Blocking TCP connect with a wall deadline (non-blocking connect +
-/// poll()). Returns the connected fd, or -1 with `error` set.
-[[nodiscard]] int connect_tcp(const std::string& host, std::uint16_t port,
-                              double timeout_seconds, std::string& error);
-
 /// One connected socket with a buffered mgrid-lu-v1 frame reader. Owns the
-/// fd. Move-only; not thread-safe.
+/// fd unless constructed with `owns_fd` false (a socket whose owner closes
+/// it, such as a server connection). Move-only; not thread-safe.
 class FrameConn {
  public:
   FrameConn() = default;
-  /// Takes ownership of a connected fd and applies `io_timeout_seconds` as
-  /// its SO_RCVTIMEO/SO_SNDTIMEO (0 = no timeout).
-  FrameConn(int fd, double io_timeout_seconds);
+  /// Wraps a connected fd and applies `io_timeout_seconds` as its
+  /// SO_RCVTIMEO/SO_SNDTIMEO (0 = no timeout).
+  FrameConn(int fd, double io_timeout_seconds, bool owns_fd = true);
   ~FrameConn();
 
   FrameConn(FrameConn&& other) noexcept;
@@ -53,13 +50,8 @@ class FrameConn {
 
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
   [[nodiscard]] int fd() const noexcept { return fd_; }
+  /// Closes an owned fd; a borrowed one is only forgotten.
   void close();
-
-  /// Relinquishes ownership of the fd without closing it (the LU server
-  /// hands a kSubscribe connection to the replication hub this way). Only
-  /// valid while the read buffer is empty — handing off buffered bytes
-  /// would lose them. Returns -1 (and keeps ownership) otherwise.
-  [[nodiscard]] int release();
 
   /// Sends every byte (EINTR/short-write safe). Closes the connection and
   /// returns false on error.
@@ -70,23 +62,19 @@ class FrameConn {
 
   /// Receives exactly one frame, blocking up to the io timeout. Returns
   /// false on EOF, timeout, reset or a malformed frame (connection closed,
-  /// last_error() says why). Timeouts while `idle_ok` is true are reported
-  /// without closing — the LU server's poll-for-shutdown loop uses this.
-  bool recv_message(wire::Message& out, bool idle_ok = false);
+  /// last_error() says why).
+  bool recv_message(wire::Message& out);
 
-  /// True when the last recv_message(idle_ok=true) failure was only an idle
-  /// timeout (connection still open).
-  [[nodiscard]] bool timed_out() const noexcept { return timed_out_; }
   [[nodiscard]] const std::string& last_error() const noexcept {
     return error_;
   }
 
  private:
   int fd_ = -1;
+  bool owns_fd_ = true;
   std::vector<std::uint8_t> buffer_;
   std::size_t buffer_pos_ = 0;  ///< Consumed prefix of buffer_.
   std::string error_;
-  bool timed_out_ = false;
 };
 
 struct ShardClientOptions {

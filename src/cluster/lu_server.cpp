@@ -1,13 +1,5 @@
 #include "cluster/lu_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <variant>
 
@@ -16,101 +8,30 @@
 namespace mgrid::cluster {
 
 LuServer::LuServer(LuServerOptions options, LuServerHooks hooks)
-    : options_(std::move(options)), hooks_(std::move(hooks)) {
-  if (options_.worker_threads == 0) options_.worker_threads = 1;
-  if (options_.poll_seconds <= 0.0) options_.poll_seconds = 0.25;
-}
+    : options_(std::move(options)),
+      hooks_(std::move(hooks)),
+      connections_("LuServer", [this](int fd) { serve_connection(fd); }) {}
 
 LuServer::~LuServer() { stop(); }
 
 void LuServer::start() {
-  if (running_.load() || stopped_) {
-    throw std::runtime_error("LuServer: already started");
-  }
   if (hooks_.directory == nullptr || hooks_.pipeline == nullptr) {
     throw std::runtime_error("LuServer: directory and pipeline are required");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("LuServer socket: ") +
-                             std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("LuServer: bad bind address " +
-                             options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("LuServer bind: " + error);
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("LuServer listen: " + error);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-  running_.store(true);
-  accept_thread_ = std::thread([this] { accept_main(); });
-  workers_.reserve(options_.worker_threads);
-  for (std::size_t i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
+  connections_.start(options_.bind_address, options_.port);
 }
 
 void LuServer::stop() {
-  if (stopped_ || !running_.load()) {
-    stopped_ = true;
-    return;
-  }
-  stopping_.store(true);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : active_) ::shutdown(fd, SHUT_RDWR);
-  }
-  work_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : pending_) ::close(fd);
-    pending_.clear();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  running_.store(false);
-  stopped_ = true;
+  // A subscriber's thread waits on the hub, not on its socket: stopping the
+  // hub is what ends it.
+  if (hooks_.replication != nullptr && running()) hooks_.replication->stop();
+  connections_.stop();
 }
-
-bool LuServer::running() const noexcept { return running_.load(); }
 
 LuServerStats LuServer::stats() const {
   LuServerStats s;
-  s.connections = connections_.load(std::memory_order_relaxed);
-  s.rejected_busy = rejected_busy_.load(std::memory_order_relaxed);
+  s.connections = connections_.accepted();
+  s.rejected_busy = connections_.rejected_busy();
   s.lus = lus_.load(std::memory_order_relaxed);
   s.lus_rejected = lus_rejected_.load(std::memory_order_relaxed);
   s.ticks = ticks_.load(std::memory_order_relaxed);
@@ -123,88 +44,19 @@ LuServerStats LuServer::stats() const {
   return s;
 }
 
-void LuServer::accept_main() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (stopping_.load()) return;
-      if (errno == ECONNABORTED) continue;
-      return;  // listener broken; workers still drain the queue
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    bool rejected = false;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (pending_.size() >= options_.max_queued_connections) {
-        rejected = true;
-      } else {
-        pending_.push_back(fd);
-      }
-    }
-    if (rejected) {
-      rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    work_cv_.notify_one();
-  }
-}
-
-void LuServer::worker_main() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock,
-                    [this] { return stopping_.load() || !pending_.empty(); });
-      if (!pending_.empty()) {
-        fd = pending_.front();
-        pending_.pop_front();
-      } else if (stopping_.load()) {
-        return;
-      }
-    }
-    if (fd >= 0) serve_connection(fd);
-  }
-}
-
 void LuServer::serve_connection(int fd) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    active_.insert(fd);
+  // Blocks in recv() with no timeout: stop() shuts the socket down.
+  FrameConn conn(fd, 0.0, /*owns_fd=*/false);
+  wire::Message msg;
+  while (conn.recv_message(msg)) {
+    if (!dispatch(conn, msg)) return;
   }
-  {
-    FrameConn conn(fd, options_.poll_seconds);
-    bool handed_off = false;
-    while (!handed_off) {
-      wire::Message msg;
-      if (!conn.recv_message(msg, /*idle_ok=*/true)) {
-        if (conn.timed_out()) {
-          if (stopping_.load()) break;
-          continue;  // idle connection; poll again
-        }
-        if (conn.last_error().rfind("bad frame", 0) == 0) {
-          bad_frames_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      if (!dispatch(conn, msg, handed_off)) break;
-    }
-    // conn's destructor closes the fd unless dispatch released it.
+  if (conn.last_error().rfind("bad frame", 0) == 0) {
+    bad_frames_.fetch_add(1, std::memory_order_relaxed);
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  active_.erase(fd);
 }
 
-bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
-                        bool& handed_off) {
+bool LuServer::dispatch(FrameConn& conn, const wire::Message& msg) {
   if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
     lus_.fetch_add(1, std::memory_order_relaxed);
     if (!hooks_.pipeline->submit(*lu)) {
@@ -301,20 +153,11 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
   }
   if (std::holds_alternative<wire::SubscribeMsg>(msg)) {
     if (hooks_.replication == nullptr) return false;  // not a primary
-    const int raw = conn.release();
-    if (raw < 0) {
-      // Bytes were already buffered past the subscribe — a protocol
-      // violation (the subscriber must not pipeline) — drop it.
-      return false;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      active_.erase(raw);  // the hub owns (and shuts down) the fd now
-    }
-    hooks_.replication->adopt(raw);
     subscribes_.fetch_add(1, std::memory_order_relaxed);
-    handed_off = true;
-    return true;
+    // The follower must not pipeline past its subscribe: its stream owns
+    // this socket from here until it leaves.
+    hooks_.replication->stream(conn.fd());
+    return false;
   }
   // Acks, replies and snapshot frames are server -> client only.
   bad_frames_.fetch_add(1, std::memory_order_relaxed);

@@ -1,11 +1,12 @@
 // TCP front door of one shard node: accepts mgrid-lu-v1 connections and
 // feeds the serving stack.
 //
-// Same shape as the obs/http admin server — one accept thread, a bounded
-// queue of accepted connections, a small worker pool — but where an HTTP
-// connection is one request, an LU connection is a long-lived stream: a
-// worker owns it until the peer disconnects, decoding frames from a
-// buffered reader and dispatching per type:
+// Built on the transport core like the obs/http admin server: each
+// accepted connection gets its own thread (transport/tcp.h), so an idle
+// peer never delays the router. Where an HTTP connection is one request, an
+// LU connection is a long-lived stream: its thread blocks in recv() until
+// the peer disconnects, decoding frames from a buffered reader and
+// dispatching per type:
 //
 //   kLu            pipeline->submit() (no per-LU ack; queue-full rejects
 //                  are counted and visible in /statusz, matching the ADF
@@ -22,8 +23,9 @@
 //   kLookup        directory lookup -> kLookupReply
 //   kRegionQuery / directory spatial query -> kNeighbor stream + kQueryDone
 //   kNearestQuery
-//   kSubscribe     hand the socket over to the ReplicationHub (the worker
-//                  is freed; the hub streams until the follower leaves)
+//   kSubscribe     register the follower with the ReplicationHub, reply
+//                  kAck, then stream its queue on this connection's thread
+//                  until the follower leaves
 //
 // A malformed frame closes the connection (counted), never the server.
 // stop() is graceful: the listener unblocks, live connections are shut
@@ -31,21 +33,17 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cluster/replication.h"
 #include "serve/directory.h"
 #include "serve/ingest.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "transport/tcp.h"
 
 namespace mgrid::cluster {
 
@@ -54,29 +52,24 @@ struct LuServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; read the bound port via port().
   std::uint16_t port = 0;
-  /// Workers each own one live connection; size for the expected concurrent
-  /// connection count (router + a few followers), not for request rate.
-  std::size_t worker_threads = 4;
-  /// Accepted-but-unowned connection bound; excess is closed immediately.
-  std::size_t max_queued_connections = 16;
-  /// Granularity at which an idle connection's worker polls for stop().
-  double poll_seconds = 0.25;
 };
 
 struct LuServerHooks {
   serve::ShardedDirectory* directory = nullptr;  ///< Required.
   serve::IngestPipeline* pipeline = nullptr;     ///< Required.
   serve::WalWriter* wal = nullptr;               ///< Optional.
-  ReplicationHub* replication = nullptr;         ///< Optional.
+  /// Optional. Its subscriber streams run on this server's connection
+  /// threads, so stop() stops the hub too.
+  ReplicationHub* replication = nullptr;
   /// Fired after each tick barrier completes (snapshotting drivers hook
-  /// here). Runs on the connection's worker thread.
+  /// here). Runs on the connection's thread.
   std::function<void(double t, std::uint64_t tick)> on_tick;
 };
 
 /// Monotonic counters (snapshot copy).
 struct LuServerStats {
   std::uint64_t connections = 0;       ///< Accepted.
-  std::uint64_t rejected_busy = 0;     ///< Closed by the queue bound.
+  std::uint64_t rejected_busy = 0;     ///< Closed at the connection cap.
   std::uint64_t lus = 0;               ///< kLu frames received.
   std::uint64_t lus_rejected = 0;      ///< submit() refused (queue full).
   std::uint64_t ticks = 0;             ///< Barriers completed.
@@ -84,7 +77,7 @@ struct LuServerStats {
   std::uint64_t region_queries = 0;
   std::uint64_t nearest_queries = 0;
   std::uint64_t neighbors_sent = 0;    ///< kNeighbor frames written.
-  std::uint64_t subscribes = 0;        ///< Sockets handed to replication.
+  std::uint64_t subscribes = 0;        ///< Followers streamed to.
   std::uint64_t bad_frames = 0;        ///< Connections dropped on decode.
 };
 
@@ -96,46 +89,35 @@ class LuServer {
   LuServer(const LuServer&) = delete;
   LuServer& operator=(const LuServer&) = delete;
 
-  /// Binds, listens, starts the threads. Throws std::runtime_error on
-  /// socket failure or missing required hooks.
+  /// Binds, listens, starts the accept thread. Throws std::runtime_error
+  /// on socket failure or missing required hooks.
   void start();
-  /// Graceful shutdown; idempotent. Live connections are dropped.
+  /// Shutdown; idempotent. Stops the replication hub, then drops live
+  /// connections and joins their threads.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept;
+  [[nodiscard]] bool running() const noexcept {
+    return connections_.running();
+  }
   /// Bound port (resolves port 0 after start()); 0 before start().
-  [[nodiscard]] std::uint16_t port() const noexcept { return bound_port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return connections_.port();
+  }
   [[nodiscard]] LuServerStats stats() const;
 
  private:
-  void accept_main();
-  void worker_main();
   void serve_connection(int fd);
   /// Dispatches one frame; false = stop serving this connection.
-  bool dispatch(FrameConn& conn, wire::Message& msg, bool& handed_off);
+  bool dispatch(FrameConn& conn, const wire::Message& msg);
 
   LuServerOptions options_;
   LuServerHooks hooks_;
-
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  bool stopped_ = false;
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::deque<int> pending_;
-  /// Fds currently owned by workers; stop() shuts them down to unblock.
-  std::set<int> active_;
 
   /// Serializes tick barriers: only one connection may run the
   /// flush/advance sequence at a time (the router sends one tick at a time,
   /// but a misbehaving second client must not corrupt the barrier).
   std::mutex barrier_mutex_;
 
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> rejected_busy_{0};
   std::atomic<std::uint64_t> lus_{0};
   std::atomic<std::uint64_t> lus_rejected_{0};
   std::atomic<std::uint64_t> ticks_{0};
@@ -146,8 +128,8 @@ class LuServer {
   std::atomic<std::uint64_t> subscribes_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
 
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
+  /// Last: its threads use everything above.
+  transport::ConnectionServer connections_;
 };
 
 }  // namespace mgrid::cluster

@@ -4,35 +4,20 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "serve/snapshot.h"
+#include "transport/tcp.h"
 
 namespace mgrid::cluster {
 
 namespace {
 
-void set_send_timeout(int fd, double seconds) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec =
-      static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) *
-                               1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Bounds one write to a subscriber: a peer that stops reading is dropped
+/// after this long instead of pinning its connection thread.
+constexpr double kSendTimeoutSeconds = 5.0;
+/// Largest slice of a queue written per send.
+constexpr std::size_t kWriteSliceBytes = 256u << 10;
 
 }  // namespace
 
@@ -45,21 +30,20 @@ ReplicationHub::ReplicationHub(const serve::ShardedDirectory& directory,
       "mgrid_replication_subscriber_lag_records", {},
       "Records enqueued to replication subscribers and not yet fully "
       "flushed to their sockets");
-  streamer_ = std::thread([this] { streamer_main(); });
 }
 
 ReplicationHub::~ReplicationHub() { stop(); }
 
 void ReplicationHub::on_lu(const wire::LuMsg& msg) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_ || (subscribers_.empty() && pending_fds_.empty())) return;
+  if (stopping_ || subscribers_.empty()) return;
   wire::encode(live_, msg);
   ++live_lus_;
 }
 
 void ReplicationHub::on_lu(const wire::TracedLuMsg& msg) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_ || (subscribers_.empty() && pending_fds_.empty())) return;
+  if (stopping_ || subscribers_.empty()) return;
   wire::encode(live_, msg);
   ++live_lus_;
 }
@@ -74,69 +58,105 @@ void ReplicationHub::on_tick(double t, std::uint64_t tick,
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return;
 
+    // Pending subscribers bootstrap from one snapshot taken at this
+    // (quiescent) barrier. It already reflects this tick's
+    // advance_estimates, so their stream starts with the *next* barrier's
+    // traffic.
+    std::vector<std::uint8_t> image;
+    bool have_image = false;
+    bool image_ok = false;
     for (auto& sub : subscribers_) {
       if (sub->dead) continue;
-      enqueue_locked(*sub, live_.data(), live_.size(), live_lus_);
-      enqueue_locked(*sub, tick_frame.data(), tick_frame.size(), 1);
-      lus_streamed_ += live_lus_;
+      if (sub->bootstrapped) {
+        enqueue_locked(*sub, live_.data(), live_.size(), live_lus_);
+        enqueue_locked(*sub, tick_frame.data(), tick_frame.size(), 1);
+        lus_streamed_ += live_lus_;
+        notify = true;
+        continue;
+      }
+      if (!have_image) {
+        image_ok = serve::encode_snapshot(directory_, wal_records, t, image);
+        have_image = true;
+      }
+      if (!image_ok) {
+        ++snapshot_failures_;
+        sub->dead = true;
+        notify = true;
+        continue;
+      }
+      std::vector<std::uint8_t> frame;
+      for (std::size_t pos = 0; pos < image.size();
+           pos += options_.chunk_bytes) {
+        wire::SnapshotChunkMsg chunk;
+        const std::size_t len =
+            std::min(options_.chunk_bytes, image.size() - pos);
+        chunk.bytes.assign(image.begin() + static_cast<std::ptrdiff_t>(pos),
+                           image.begin() +
+                               static_cast<std::ptrdiff_t>(pos + len));
+        frame.clear();
+        wire::encode(frame, chunk);
+        enqueue_locked(*sub, frame.data(), frame.size(), 1);
+      }
+      frame.clear();
+      wire::encode(frame, wire::SnapshotDoneMsg{image.size(), wal_records});
+      enqueue_locked(*sub, frame.data(), frame.size(), 1);
+      sub->bootstrapped = true;
+      ++attached_total_;
       notify = true;
     }
     live_.clear();
     live_lus_ = 0;
-
-    if (!pending_fds_.empty()) {
-      // Bootstrap every pending subscriber from one snapshot taken at this
-      // (quiescent) barrier. The snapshot already reflects this tick's
-      // advance_estimates, so the new subscriber's stream starts with the
-      // *next* barrier's traffic.
-      std::vector<std::uint8_t> image;
-      const bool ok = serve::encode_snapshot(directory_, wal_records, t, image);
-      for (const int fd : pending_fds_) {
-        if (!ok) {
-          ++snapshot_failures_;
-          ::close(fd);
-          continue;
-        }
-        auto sub = std::make_unique<Subscriber>();
-        sub->fd = fd;
-        std::vector<std::uint8_t> frame;
-        for (std::size_t pos = 0; pos < image.size();
-             pos += options_.chunk_bytes) {
-          wire::SnapshotChunkMsg chunk;
-          const std::size_t len =
-              std::min(options_.chunk_bytes, image.size() - pos);
-          chunk.bytes.assign(image.begin() + static_cast<std::ptrdiff_t>(pos),
-                             image.begin() +
-                                 static_cast<std::ptrdiff_t>(pos + len));
-          frame.clear();
-          wire::encode(frame, chunk);
-          enqueue_locked(*sub, frame.data(), frame.size(), 1);
-        }
-        frame.clear();
-        wire::encode(frame, wire::SnapshotDoneMsg{image.size(), wal_records});
-        enqueue_locked(*sub, frame.data(), frame.size(), 1);
-        subscribers_.push_back(std::move(sub));
-        ++attached_total_;
-        notify = true;
-      }
-      pending_fds_.clear();
-    }
     refresh_lag_locked();
   }
   if (notify) work_cv_.notify_all();
 }
 
-void ReplicationHub::adopt(int fd) {
-  set_send_timeout(fd, 5.0);
-  bool accepted = false;
+void ReplicationHub::stream(int fd) {
+  Subscriber* sub = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!stopping_) {
-      pending_fds_.push_back(fd);
-      accepted = true;
-    }
+    if (stopping_) return;
+    subscribers_.push_back(std::make_unique<Subscriber>());
+    sub = subscribers_.back().get();
+    sub->fd = fd;
   }
-  if (!accepted) ::close(fd);
+  transport::set_io_timeout(fd, kSendTimeoutSeconds);
+  // Registered before the ack: once the follower reads it, the next
+  // barrier bootstraps it.
+  std::vector<std::uint8_t> out;
+  wire::encode(out, wire::AckMsg{0, wire::AckStatus::kOk, 0.0});
+  bool ok = transport::send_all(fd, out.data(), out.size());
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (ok) {
+    work_cv_.wait(lock, [&] {
+      return stopping_ || sub->dead || !sub->outgoing.empty();
+    });
+    if (stopping_ || sub->dead) break;
+    const std::size_t n =
+        std::min<std::size_t>(sub->outgoing.size(), kWriteSliceBytes);
+    out.assign(sub->outgoing.begin(),
+               sub->outgoing.begin() + static_cast<std::ptrdiff_t>(n));
+    sub->outgoing.erase(
+        sub->outgoing.begin(),
+        sub->outgoing.begin() + static_cast<std::ptrdiff_t>(n));
+    sub->sending = true;
+    lock.unlock();
+    // Socket I/O happens outside the hub mutex so on_lu() (which runs under
+    // an ingest source-queue lock) never waits on a slow follower.
+    ok = transport::send_all(fd, out.data(), out.size());
+    lock.lock();
+    sub->sending = false;
+    if (ok) bytes_streamed_.fetch_add(n, std::memory_order_relaxed);
+    refresh_lag_locked();
+    drained_cv_.notify_all();
+  }
+  ++detached_total_;
+  subscribers_.erase(
+      std::find_if(subscribers_.begin(), subscribers_.end(),
+                   [sub](const auto& entry) { return entry.get() == sub; }));
+  refresh_lag_locked();
+  drained_cv_.notify_all();
 }
 
 bool ReplicationHub::drain(double timeout_seconds) {
@@ -144,36 +164,22 @@ bool ReplicationHub::drain(double timeout_seconds) {
   return drained_cv_.wait_for(
       lock, std::chrono::duration<double>(timeout_seconds), [this] {
         if (stopping_) return true;
-        if (streaming_) return false;
         for (const auto& sub : subscribers_) {
-          if (!sub->dead && !sub->outgoing.empty()) return false;
+          if (!sub->dead && (sub->sending || !sub->outgoing.empty())) {
+            return false;
+          }
         }
         return true;
       });
 }
 
 void ReplicationHub::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-    for (auto& sub : subscribers_) {
-      if (sub->fd >= 0) ::shutdown(sub->fd, SHUT_RDWR);
-    }
-    for (const int fd : pending_fds_) ::close(fd);
-    pending_fds_.clear();
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  stopping_ = true;
+  // Wakes stream() calls blocked in send() as well as those waiting here.
+  for (auto& sub : subscribers_) (void)::shutdown(sub->fd, SHUT_RDWR);
   work_cv_.notify_all();
-  drained_cv_.notify_all();
-  if (streamer_.joinable()) streamer_.join();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& sub : subscribers_) {
-    if (sub->fd >= 0) {
-      ::close(sub->fd);
-      sub->fd = -1;
-      ++detached_total_;
-    }
-  }
-  subscribers_.clear();
+  drained_cv_.wait(lock, [this] { return subscribers_.empty(); });
 }
 
 ReplicationHub::Stats ReplicationHub::stats() const {
@@ -181,12 +187,15 @@ ReplicationHub::Stats ReplicationHub::stats() const {
   Stats s;
   for (const auto& sub : subscribers_) {
     if (sub->dead) continue;
+    if (!sub->bootstrapped) {
+      ++s.pending;
+      continue;
+    }
     ++s.subscribers;
     if (!sub->outgoing.empty()) {
       s.subscriber_lag_records += sub->buffered_records;
     }
   }
-  s.pending = pending_fds_.size();
   s.attached_total = attached_total_;
   s.detached_total = detached_total_;
   s.dropped_slow = dropped_slow_;
@@ -198,7 +207,7 @@ ReplicationHub::Stats ReplicationHub::stats() const {
 
 void ReplicationHub::enqueue_locked(Subscriber& sub, const std::uint8_t* data,
                                     std::size_t size, std::uint64_t records) {
-  if (sub.dead || sub.fd < 0) return;
+  if (sub.dead) return;
   sub.outgoing.insert(sub.outgoing.end(), data, data + size);
   sub.buffered_records += records;
   if (sub.outgoing.size() > options_.max_buffered_bytes) {
@@ -209,6 +218,7 @@ void ReplicationHub::enqueue_locked(Subscriber& sub, const std::uint8_t* data,
     sub.buffered_records = 0;
     ::shutdown(sub.fd, SHUT_RDWR);
     ++dropped_slow_;
+    work_cv_.notify_all();
   }
 }
 
@@ -226,68 +236,6 @@ void ReplicationHub::refresh_lag_locked() {
   if (obs::enabled()) lag_gauge_.set(static_cast<double>(lag));
 }
 
-void ReplicationHub::streamer_main() {
-  std::vector<std::uint8_t> out;
-  for (;;) {
-    int fd = -1;
-    Subscriber* target = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] {
-        if (stopping_) return true;
-        for (const auto& sub : subscribers_) {
-          if (sub->dead || !sub->outgoing.empty()) return true;
-        }
-        return false;
-      });
-      // Reap dead subscribers first so their fds do not linger.
-      for (auto it = subscribers_.begin(); it != subscribers_.end();) {
-        if ((*it)->dead) {
-          if ((*it)->fd >= 0) ::close((*it)->fd);
-          ++detached_total_;
-          it = subscribers_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      if (stopping_) return;
-      for (auto& sub : subscribers_) {
-        if (!sub->outgoing.empty()) {
-          const std::size_t n = std::min<std::size_t>(
-              sub->outgoing.size(), 256u << 10);
-          out.assign(sub->outgoing.begin(),
-                     sub->outgoing.begin() + static_cast<std::ptrdiff_t>(n));
-          sub->outgoing.erase(
-              sub->outgoing.begin(),
-              sub->outgoing.begin() + static_cast<std::ptrdiff_t>(n));
-          fd = sub->fd;
-          target = sub.get();
-          streaming_ = true;
-          break;
-        }
-      }
-    }
-    if (target == nullptr) continue;
-    // Socket I/O happens outside the hub mutex so on_lu() (which runs under
-    // an ingest source-queue lock) never waits on a slow follower.
-    const bool ok = send_all(fd, out.data(), out.size());
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      streaming_ = false;
-      if (ok) {
-        bytes_streamed_.fetch_add(out.size(), std::memory_order_relaxed);
-      } else {
-        // `target` stays valid: only this thread erases subscribers.
-        target->dead = true;
-        target->outgoing.clear();
-        target->buffered_records = 0;
-      }
-      refresh_lag_locked();
-    }
-    drained_cv_.notify_all();
-  }
-}
-
 Follower::Follower(serve::ShardedDirectory& directory, FollowerOptions options)
     : directory_(directory), options_(options) {
   if (options_.spans != nullptr) {
@@ -295,23 +243,40 @@ Follower::Follower(serve::ShardedDirectory& directory, FollowerOptions options)
   }
 }
 
+Follower::~Follower() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 bool Follower::connect(std::string* error) {
-  std::string local_error;
-  const int fd = connect_tcp(options_.host, options_.port,
-                             options_.connect_timeout_seconds, local_error);
-  if (fd < 0) {
-    error_ = local_error;
-    if (error != nullptr) *error = local_error;
+  const auto fail = [&](std::string reason) {
+    error_ = std::move(reason);
+    if (error != nullptr) *error = error_;
     return false;
-  }
-  conn_ = FrameConn(fd, options_.io_timeout_seconds);
+  };
+  std::string local_error;
+  const int fd = transport::connect_tcp(options_.host, options_.port,
+                                        options_.connect_timeout_seconds,
+                                        local_error);
+  if (fd < 0) return fail(local_error);
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  conn_ = FrameConn(fd_, options_.connect_timeout_seconds, /*owns_fd=*/false);
   std::vector<std::uint8_t> frame;
   wire::encode(frame, wire::SubscribeMsg{0, 0});
   if (!conn_.send(frame)) {
-    error_ = "subscribe send failed: " + conn_.last_error();
-    if (error != nullptr) *error = error_;
-    return false;
+    return fail("subscribe send failed: " + conn_.last_error());
   }
+  wire::Message reply;
+  if (!conn_.recv_message(reply)) {
+    return fail("subscribe ack: " + conn_.last_error());
+  }
+  const auto* ack = std::get_if<wire::AckMsg>(&reply);
+  if (ack == nullptr || ack->status != wire::AckStatus::kOk) {
+    return fail("subscribe refused by the primary");
+  }
+  // The stream is idle between barriers: run() blocks until data, the
+  // primary leaving, or stop().
+  transport::set_io_timeout(fd_, 0.0);
   return true;
 }
 
@@ -320,8 +285,7 @@ bool Follower::run() {
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return true;
     wire::Message msg;
-    if (!conn_.recv_message(msg, /*idle_ok=*/true)) {
-      if (conn_.timed_out()) continue;  // idle poll; check stop_ and retry
+    if (!conn_.recv_message(msg)) {
       error_ = conn_.last_error();
       return error_ == "peer closed";
     }
@@ -406,7 +370,7 @@ bool Follower::run() {
 
 void Follower::stop() {
   stop_.store(true, std::memory_order_release);
-  if (conn_.connected()) ::shutdown(conn_.fd(), SHUT_RDWR);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Follower::Stats Follower::stats() const {

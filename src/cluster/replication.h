@@ -1,7 +1,9 @@
 // Follower replication: primaries stream their per-MN LU substream.
 //
-// A follower connects to its primary's LU port and sends kSubscribe. At the
-// primary's next tick barrier — a quiescent point: the pipeline is flushed
+// A follower connects to its primary's LU port and sends kSubscribe; the
+// primary registers it as pending and replies kAck, so once
+// Follower::connect() returns, the next barrier bootstraps it. At that
+// barrier — a quiescent point: the pipeline is flushed
 // and the router holds further LUs until the tick is acked — the hub
 // encodes an mgrid-snap-v1 snapshot of the directory and queues it to the
 // subscriber (kSnapshotChunk* + kSnapshotDone), then streams every
@@ -19,10 +21,10 @@
 //
 // Threading: on_lu() is called under an ingest source-queue lock and only
 // buffers under the hub mutex (no I/O — blocking there would stall the
-// ingest hot path). A dedicated streamer thread drains per-subscriber byte
-// queues to their sockets; a subscriber whose queue exceeds the cap (dead
-// or unrecoverably slow peer) is dropped, never allowed to wedge the
-// primary.
+// ingest hot path). The hub owns no thread: the LU server connection thread
+// that read a kSubscribe runs stream(), which drains that subscriber's byte
+// queue to its socket. A subscriber whose queue exceeds the cap (dead or
+// unrecoverably slow peer) is dropped, never allowed to wedge the primary.
 #pragma once
 
 #include <atomic>
@@ -32,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/client.h"
@@ -54,7 +55,7 @@ struct ReplicationOptions {
 class ReplicationHub {
  public:
   /// `directory` is the primary's directory (snapshot source); must outlive
-  /// the hub. The streamer thread starts immediately.
+  /// the hub.
   ReplicationHub(const serve::ShardedDirectory& directory,
                  ReplicationOptions options = {});
   ~ReplicationHub();  ///< Implies stop().
@@ -77,22 +78,25 @@ class ReplicationHub {
   /// `wal_records` is the primary's WAL record count at this barrier.
   void on_tick(double t, std::uint64_t tick, std::uint64_t wal_records);
 
-  /// Takes ownership of a subscriber socket (the LU server hands over the
-  /// connection on kSubscribe). The subscriber is bootstrapped at the next
-  /// tick barrier.
-  void adopt(int fd);
+  /// Serves one subscriber on the calling thread (the LU server's thread
+  /// for the connection that sent kSubscribe): registers it as pending,
+  /// replies kAck, then writes its queue to `fd` — bootstrapped at the next
+  /// tick barrier — until the peer leaves, the backlog cap drops it or
+  /// stop(). The caller keeps owning `fd`. Returns at once after stop().
+  void stream(int fd);
 
   /// Blocks until every live subscriber's outgoing queue has been written
   /// to its socket (or `timeout_seconds` passes). Call before stop() when
   /// the tail of the stream matters — stop() drops undelivered bytes.
   bool drain(double timeout_seconds = 5.0);
 
-  /// Disconnects every subscriber and joins the streamer. Idempotent.
+  /// Disconnects every subscriber and waits for their stream() calls to
+  /// return. Idempotent.
   void stop();
 
   struct Stats {
     std::uint64_t subscribers = 0;      ///< Currently attached (post-snapshot).
-    std::uint64_t pending = 0;          ///< Adopted, awaiting a barrier.
+    std::uint64_t pending = 0;          ///< Registered, awaiting a barrier.
     std::uint64_t attached_total = 0;   ///< Bootstraps completed.
     std::uint64_t detached_total = 0;   ///< Disconnects (any reason).
     std::uint64_t dropped_slow = 0;     ///< Killed by the backlog cap.
@@ -108,16 +112,21 @@ class ReplicationHub {
   [[nodiscard]] Stats stats() const;
 
  private:
+  /// Guarded by the hub mutex; owned by subscribers_ and erased only by
+  /// the stream() call serving it.
   struct Subscriber {
     int fd = -1;
-    std::deque<std::uint8_t> outgoing;  ///< Guarded by the hub mutex.
+    bool bootstrapped = false;  ///< False while pending the next barrier.
+    std::deque<std::uint8_t> outgoing;
     bool dead = false;
+    /// stream() is writing bytes it already took from `outgoing`: drain()
+    /// must not report an empty queue as delivered until the write lands.
+    bool sending = false;
     /// Frames in `outgoing` (cleared when it fully drains): the per-
     /// subscriber slice of the lag-records gauge.
     std::uint64_t buffered_records = 0;
   };
 
-  void streamer_main();
   /// Appends bytes to one subscriber's queue (hub mutex held). `records`
   /// is the frame count in the blob, for lag accounting.
   void enqueue_locked(Subscriber& sub, const std::uint8_t* data,
@@ -129,16 +138,14 @@ class ReplicationHub {
   ReplicationOptions options_;
 
   mutable std::mutex mutex_;
+  /// Signalled on new bytes for a subscriber, on a drop and on stop().
   std::condition_variable work_cv_;
+  /// Signalled when a write lands or a subscriber leaves.
   std::condition_variable drained_cv_;
   bool stopping_ = false;
-  /// True while the streamer is writing bytes it already dequeued (drain()
-  /// must not report empty queues as delivered until the write lands).
-  bool streaming_ = false;
   /// Accepted-LU frames since the last barrier, already wire-encoded.
   std::vector<std::uint8_t> live_;
   std::uint64_t live_lus_ = 0;
-  std::vector<int> pending_fds_;
   std::vector<std::unique_ptr<Subscriber>> subscribers_;
 
   std::uint64_t attached_total_ = 0;
@@ -149,16 +156,13 @@ class ReplicationHub {
   std::uint64_t subscriber_lag_records_ = 0;
   std::atomic<std::uint64_t> bytes_streamed_{0};
   obs::Gauge lag_gauge_;  ///< mgrid_replication_subscriber_lag_records
-
-  std::thread streamer_;
 };
 
 struct FollowerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< Primary's LU port.
+  /// Bounds the connect and the wait for the primary's subscribe ack.
   double connect_timeout_seconds = 5.0;
-  /// Also the granularity at which run() notices stop() while idle.
-  double io_timeout_seconds = 0.25;
   /// Latency attribution: kTracedLu frames on the stream record a
   /// follower-apply span under the propagated trace id, SLI
   /// "follower_apply". Must outlive the follower. Optional.
@@ -171,8 +175,14 @@ class Follower {
   /// `directory` should be empty and configured identically to the
   /// primary's (same estimator stack — snapshot restore fails otherwise).
   Follower(serve::ShardedDirectory& directory, FollowerOptions options);
+  ~Follower();  ///< Closes the socket.
 
-  /// Connects and subscribes. Returns false with `error` set on failure.
+  Follower(const Follower&) = delete;
+  Follower& operator=(const Follower&) = delete;
+
+  /// Connects and subscribes, returning once the primary acks (the next
+  /// tick barrier then bootstraps this follower). Returns false with
+  /// `error` set on failure.
   bool connect(std::string* error = nullptr);
 
   /// Consumes the stream until the primary disconnects or stop() is
@@ -203,6 +213,9 @@ class Follower {
  private:
   serve::ShardedDirectory& directory_;
   FollowerOptions options_;
+  /// Owned here, not by conn_: stop() may shut it down from another thread
+  /// while run() fails and forgets it, so it stays open until destruction.
+  int fd_ = -1;
   FrameConn conn_;
   std::atomic<bool> stop_{false};
   mutable std::mutex stats_mutex_;

@@ -16,8 +16,8 @@
 //   movement  change. Multi-probe preserves this exactly: new points can
 //             only *shrink* a probe's forward distance (so a changed winner
 //             is always the new node), and removing a node only *grows* the
-//             probes it was winning. This is what makes shard join/leave a
-//             bounded handoff (cluster/handoff.h) instead of a reshuffle.
+//             probes it was winning. This is what makes shard join/leave
+//             move a bounded key range instead of a reshuffle.
 //
 // Hashes are fixed for the protocol's lifetime: vnode points are
 // splitmix64(fnv1a64("<name>#<vnode>")) and probe p of key mn is
@@ -73,8 +73,8 @@ class HashRing {
   /// process converged on the same membership.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// The frozen key hash (splitmix64 of the MN id). Public so tests and
-  /// handoff tooling reason about placement directly.
+  /// The frozen key hash (splitmix64 of the MN id). Public so tests
+  /// reason about placement directly.
   [[nodiscard]] static std::uint64_t key_hash(std::uint32_t mn) noexcept;
 
  private:

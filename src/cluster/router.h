@@ -132,9 +132,9 @@ class Router {
   [[nodiscard]] std::vector<wire::NeighborMsg> k_nearest(double x, double y,
                                                          std::uint32_t k);
 
-  /// Membership change (handoff drivers). The caller is responsible for
-  /// moving the affected tracks (cluster/handoff.h) before resuming
-  /// traffic; moved_mns() on the rings before/after says which.
+  /// Membership change. The caller is responsible for moving the affected
+  /// tracks before resuming traffic; moved_mns() on the rings before/after
+  /// says which.
   bool add_shard(const RouterShardConfig& config, std::string* error = nullptr);
   bool remove_shard(const std::string& name);
 

@@ -1,19 +1,12 @@
 #include "obs/http.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -42,102 +35,6 @@ std::string_view trim(std::string_view text) {
     text.remove_suffix(1);
   }
   return text;
-}
-
-void set_io_timeout(int fd, double seconds) {
-  if (!(seconds > 0.0)) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - std::floor(seconds)) * 1e6);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-/// Connects with a hard deadline: the socket is flipped non-blocking for
-/// the connect so a black-holed peer (SYN swallowed by a firewall, a
-/// SIGKILLed shard whose address still routes) cannot park the caller in
-/// the kernel's minutes-long default; poll() is retried on EINTR. Returns
-/// false with `error` set on failure; the socket is left in blocking mode
-/// on success.
-bool connect_with_deadline(int fd, const sockaddr_in& addr, double seconds,
-                           std::string& error) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    error = std::string("fcntl: ") + std::strerror(errno);
-    return false;
-  }
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0 && errno != EINPROGRESS) {
-    error = std::string("connect: ") + std::strerror(errno);
-    return false;
-  }
-  if (rc != 0) {
-    // In progress: poll for writability until the deadline, re-arming the
-    // remaining budget after every EINTR so signals cannot extend it.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(
-                              seconds > 0.0 ? seconds : 5.0);
-    for (;;) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline -
-                                     std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        error = "connect: timed out";
-        return false;
-      }
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      const int polled =
-          ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-      if (polled < 0) {
-        if (errno == EINTR) continue;
-        error = std::string("poll: ") + std::strerror(errno);
-        return false;
-      }
-      if (polled == 0) {
-        error = "connect: timed out";
-        return false;
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
-        error = std::string("getsockopt: ") + std::strerror(errno);
-        return false;
-      }
-      if (so_error != 0) {
-        error = std::string("connect: ") + std::strerror(so_error);
-        return false;
-      }
-      break;
-    }
-  }
-  if (::fcntl(fd, F_SETFL, flags) < 0) {
-    error = std::string("fcntl: ") + std::strerror(errno);
-    return false;
-  }
-  return true;
-}
-
-/// send() the whole buffer; false on error/timeout. MSG_NOSIGNAL so a peer
-/// that hangs up mid-response cannot SIGPIPE the process.
-bool send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Parses the request head (everything before the blank line). Returns
@@ -234,14 +131,20 @@ const char* status_reason(int status) noexcept {
 }
 
 Server::Server(ServerOptions options, Handler handler)
-    : options_(std::move(options)), handler_(std::move(handler)) {
-  if (options_.worker_threads == 0) {
-    throw std::invalid_argument("http::Server: worker_threads must be >= 1");
-  }
-  if (options_.max_queued_connections == 0) {
-    throw std::invalid_argument(
-        "http::Server: max_queued_connections must be >= 1");
-  }
+    : options_(std::move(options)),
+      handler_(std::move(handler)),
+      connections_(
+          "http::Server",
+          [this](int fd) {
+            transport::set_io_timeout(fd, options_.io_timeout_seconds);
+            serve_connection(fd);
+          },
+          [this](int fd) {
+            // Sent before the request is read, so the method is unknown —
+            // an empty body (Content-Length: 0) is right for GET and HEAD.
+            transport::set_io_timeout(fd, options_.io_timeout_seconds);
+            write_response(fd, Response::text(503, ""), false);
+          }) {
   if (!handler_) {
     throw std::invalid_argument("http::Server: handler must be set");
   }
@@ -250,143 +153,24 @@ Server::Server(ServerOptions options, Handler handler)
 Server::~Server() { stop(); }
 
 void Server::start() {
-  if (running_.load(std::memory_order_acquire) || stopped_) {
-    throw std::runtime_error("http::Server: already started");
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("http::Server: socket: ") +
-                             std::strerror(errno));
-  }
-  const int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("http::Server: bad bind address " +
-                             options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("http::Server: bind/listen on " +
-                             options_.bind_address + ":" +
-                             std::to_string(options_.port) + ": " + reason);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_main(); });
-  workers_.reserve(options_.worker_threads);
-  for (std::size_t i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
+  connections_.start(options_.bind_address, options_.port);
 }
 
-void Server::stop() {
-  if (stopped_ || !running_.load(std::memory_order_acquire)) {
-    stopped_ = true;
-    return;
-  }
-  stopping_.store(true, std::memory_order_release);
-  // Unblock accept(): shutdown() makes the blocking accept return with an
-  // error on Linux; close() alone is not guaranteed to wake it.
-  (void)::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    work_cv_.notify_all();
-  }
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  running_.store(false, std::memory_order_release);
-  stopped_ = true;
-}
+void Server::stop() { connections_.stop(); }
 
-bool Server::running() const noexcept {
-  return running_.load(std::memory_order_acquire);
-}
+bool Server::running() const noexcept { return connections_.running(); }
 
-std::uint16_t Server::port() const noexcept { return bound_port_; }
+std::uint16_t Server::port() const noexcept { return connections_.port(); }
 
 ServerStats Server::stats() const {
   ServerStats out;
-  out.accepted = accepted_.load(std::memory_order_relaxed);
+  out.accepted = connections_.accepted();
   out.requests = requests_.load(std::memory_order_relaxed);
   out.served = served_.load(std::memory_order_relaxed);
-  out.rejected_busy = rejected_busy_.load(std::memory_order_relaxed);
+  out.rejected_busy = connections_.rejected_busy();
   out.bad_requests = bad_requests_.load(std::memory_order_relaxed);
   out.io_errors = io_errors_.load(std::memory_order_relaxed);
   return out;
-}
-
-void Server::accept_main() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // EBADF/EINVAL after shutdown(): orderly stop. Anything else while
-      // not stopping is transient (EMFILE, ECONNABORTED) — back off briefly
-      // so fd exhaustion cannot turn this loop into a busy spin.
-      if (stopping_.load(std::memory_order_acquire)) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    set_io_timeout(fd, options_.io_timeout_seconds);
-    bool enqueued = false;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (pending_.size() < options_.max_queued_connections) {
-        pending_.push_back(fd);
-        enqueued = true;
-        work_cv_.notify_one();
-      }
-    }
-    if (!enqueued) {
-      rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-      // Sent before the request is read, so the method is unknown — an
-      // empty body (Content-Length: 0) is correct for GET and HEAD alike.
-      write_response(fd, Response::text(503, ""), false);
-      ::close(fd);
-    }
-  }
-}
-
-void Server::worker_main() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] {
-        return !pending_.empty() ||
-               stopping_.load(std::memory_order_acquire);
-      });
-      if (!pending_.empty()) {
-        fd = pending_.front();
-        pending_.pop_front();
-      } else {
-        return;  // stopping and the queue is drained
-      }
-    }
-    serve_connection(fd);
-    ::close(fd);
-  }
 }
 
 void Server::serve_connection(int fd) {
@@ -461,8 +245,10 @@ void Server::write_response(int fd, const Response& response,
   head += "\r\nContent-Length: ";
   head += std::to_string(response.body.size());
   head += "\r\nConnection: close\r\n\r\n";
-  bool ok = send_all(fd, head);
-  if (ok && !head_only) ok = send_all(fd, response.body);
+  bool ok = transport::send_all(fd, head.data(), head.size());
+  if (ok && !head_only) {
+    ok = transport::send_all(fd, response.body.data(), response.body.size());
+  }
   if (ok) {
     served_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -473,31 +259,17 @@ void Server::write_response(int fd, const Response& response,
 ClientResponse http_get(const std::string& host, std::uint16_t port,
                         const std::string& target, double timeout_seconds) {
   ClientResponse out;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    out.error = std::string("socket: ") + std::strerror(errno);
-    return out;
-  }
-  set_io_timeout(fd, timeout_seconds);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    out.error = "bad host address " + host;
-    return out;
-  }
   // The connect honours the same budget as the reads: a health-check loop
   // probing a wedged or vanished peer returns within ~timeout_seconds
   // instead of hanging on the kernel's default connect timeout.
-  if (!connect_with_deadline(fd, addr, timeout_seconds, out.error)) {
-    ::close(fd);
-    return out;
-  }
+  const int fd =
+      transport::connect_tcp(host, port, timeout_seconds, out.error);
+  if (fd < 0) return out;
+  transport::set_io_timeout(fd, timeout_seconds);
   const std::string request = "GET " + target +
                               " HTTP/1.1\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  if (!send_all(fd, request)) {
+  if (!transport::send_all(fd, request.data(), request.size())) {
     out.error = "send failed";
     ::close(fd);
     return out;

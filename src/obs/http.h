@@ -1,22 +1,21 @@
 // Minimal embedded HTTP/1.1 server for live observability endpoints.
 //
-// Dependency-free (POSIX sockets only): one accept thread feeds a bounded
-// connection queue drained by a small fixed pool of worker threads. Each
-// connection serves exactly one request (`Connection: close` semantics — a
-// scrape is one round trip, keep-alive buys nothing but lifecycle bugs;
-// pipelined bytes after the first head are ignored, the response closes the
-// connection) and is bounded in every dimension: header bytes (431 beyond
-// max_request_bytes), a declared body (413 — the admin plane is read-only,
-// judged by Content-Length/Transfer-Encoding, not by how the bytes happened
-// to land in recv()), wall time
-// (SO_RCVTIMEO/SO_SNDTIMEO) and queued connections (excess accepts get an
-// immediate 503 and close, so a scrape storm cannot pile up file
-// descriptors).
+// Dependency-free (POSIX sockets only), built on the transport core
+// (transport/tcp.h): every accepted connection gets its own thread, up to
+// transport::ConnectionServer::kMaxConnections live at once; a connection
+// beyond the cap gets an immediate 503 and close, so a scrape storm cannot
+// pile up file descriptors or threads. Each connection serves exactly one
+// request (`Connection: close` semantics — a scrape is one round trip,
+// keep-alive buys nothing but lifecycle bugs; pipelined bytes after the
+// first head are ignored, the response closes the connection) and is
+// bounded in every dimension: header bytes (431 beyond max_request_bytes),
+// a declared body (413 — the admin plane is read-only, judged by
+// Content-Length/Transfer-Encoding, not by how the bytes happened to land
+// in recv()) and wall time (SO_RCVTIMEO/SO_SNDTIMEO).
 //
-// stop() is graceful and idempotent: the listener is shut down to unblock
-// accept(), already-queued connections are still served, and every thread
-// is joined before stop() returns — no leaked threads or sockets under
-// ASan/TSan, which the CI presets assert.
+// stop() is idempotent: the listener and every live connection are shut
+// down and every thread is joined before stop() returns — no leaked
+// threads or sockets under ASan/TSan, which the CI presets assert.
 //
 // The server itself is route-agnostic; the registered Handler maps requests
 // to responses (see serve/admin.h for the mgrid admin surface). http_get()
@@ -25,16 +24,14 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include "transport/tcp.h"
 
 namespace mgrid::obs::http {
 
@@ -70,10 +67,6 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; the bound port is readable via Server::port().
   std::uint16_t port = 0;
-  /// Worker threads serving queued connections (>= 1).
-  std::size_t worker_threads = 2;
-  /// Accepted-but-unserved connection bound; excess gets 503 + close.
-  std::size_t max_queued_connections = 64;
   /// Request head (request line + headers) byte bound; 431 beyond.
   std::size_t max_request_bytes = 16 * 1024;
   /// Per-connection socket read/write timeout.
@@ -88,7 +81,7 @@ struct ServerStats {
   /// across many recv() calls (slowloris) still counts as one.
   std::uint64_t requests = 0;
   std::uint64_t served = 0;         ///< Responses written (any status).
-  std::uint64_t rejected_busy = 0;  ///< 503s from a full connection queue.
+  std::uint64_t rejected_busy = 0;  ///< 503s at the connection cap.
   std::uint64_t bad_requests = 0;   ///< 400/413/431 protocol rejections.
   std::uint64_t io_errors = 0;      ///< Timeouts / resets mid-request.
 };
@@ -97,7 +90,7 @@ using Handler = std::function<Response(const Request&)>;
 
 class Server {
  public:
-  /// The handler runs on worker threads and must be thread-safe. It is
+  /// The handler runs on connection threads and must be thread-safe. It is
   /// invoked for every well-formed request regardless of method.
   Server(ServerOptions options, Handler handler);
   ~Server();  ///< Implies stop().
@@ -105,12 +98,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the accept/worker threads. Throws
+  /// Binds, listens and starts the accept thread. Throws
   /// std::runtime_error on socket/bind failure or when already started.
   void start();
 
-  /// Graceful shutdown: stops accepting, serves what is already queued,
-  /// joins every thread. Idempotent; a stopped server cannot be restarted.
+  /// Stops accepting, shuts live connections down, joins every thread.
+  /// Idempotent; a stopped server cannot be restarted.
   void stop();
 
   [[nodiscard]] bool running() const noexcept;
@@ -119,33 +112,19 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
 
  private:
-  void accept_main();
-  void worker_main();
   void serve_connection(int fd);
   void write_response(int fd, const Response& response, bool head_only);
 
   ServerOptions options_;
   Handler handler_;
 
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  bool stopped_ = false;
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::deque<int> pending_;  ///< Accepted fds awaiting a worker.
-
-  std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> rejected_busy_{0};
   std::atomic<std::uint64_t> bad_requests_{0};
   std::atomic<std::uint64_t> io_errors_{0};
 
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
+  /// Last: its threads use everything above.
+  transport::ConnectionServer connections_;
 };
 
 /// Minimal blocking GET client (tests, benches, smoke scripts). Returns

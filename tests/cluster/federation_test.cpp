@@ -444,7 +444,8 @@ TEST(Federation, PausedSubscriberGrowsLagAndDrainingClearsIt) {
   const int small = 4096;
   ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
   ::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
-  hub.adopt(fds[0]);
+  std::thread stream([&] { hub.stream(fds[0]); });
+  ASSERT_TRUE(eventually([&] { return hub.stats().pending == 1; }));
   hub.on_tick(0.0, 0, 0);  // barrier: bootstraps the subscriber (empty snap)
   ASSERT_TRUE(eventually([&] { return hub.stats().subscribers == 1; }));
 
@@ -474,7 +475,9 @@ TEST(Federation, PausedSubscriberGrowsLagAndDrainingClearsIt) {
   })) << "lag did not return to 0 after draining";
 
   hub.stop();
+  stream.join();
   reader.join();
+  ::close(fds[0]);
   ::close(fds[1]);
 }
 

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/client.h"
@@ -15,6 +22,7 @@
 #include "serve/ingest.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "transport/tcp.h"
 
 namespace mgrid::cluster {
 namespace {
@@ -233,7 +241,8 @@ TEST(LuServer, GarbageBytesDropTheConnectionNotTheServer) {
 
   // A hostile client speaking HTTP at the LU port.
   std::string error;
-  const int fd = connect_tcp("127.0.0.1", shard.server->port(), 5.0, error);
+  const int fd =
+      transport::connect_tcp("127.0.0.1", shard.server->port(), 5.0, error);
   ASSERT_GE(fd, 0) << error;
   FrameConn hostile(fd, 5.0);
   const std::string garbage = "GET / HTTP/1.1\r\n\r\n";
@@ -251,6 +260,69 @@ TEST(LuServer, GarbageBytesDropTheConnectionNotTheServer) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(reply->found);
   EXPECT_GE(shard.server->stats().bad_frames, 1u);
+}
+
+TEST(LuServer, IdleConnectionsDoNotDelayTheRouter) {
+  ShardUnderTest shard;
+  std::vector<FrameConn> idle;
+  for (int i = 0; i < 8; ++i) {
+    std::string error;
+    const int fd =
+        transport::connect_tcp("127.0.0.1", shard.server->port(), 5.0, error);
+    ASSERT_GE(fd, 0) << error;
+    idle.emplace_back(fd, 0.0);
+  }
+
+  ShardClientOptions options;
+  options.port = shard.server->port();
+  options.io_timeout_seconds = 1.0;
+  ShardClient client(options);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.connect());
+  ASSERT_TRUE(client.send_lus({walk_lu(3, 1)}));
+  ASSERT_TRUE(client.tick(1.0, 1));
+  const auto reply = client.lookup(3, 1.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(reply->found);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+/// Runs in a forked child: exhausts the process's fds so the server's
+/// accept() fails with EMFILE, frees them, and reports whether a client
+/// that connects afterwards is served.
+bool served_after_fd_exhaustion() {
+  ShardUnderTest shard;
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return false;
+  limit.rlim_cur = 256;
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return false;
+  std::vector<int> hog;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;) {
+    hog.push_back(fd);
+  }
+  if (hog.empty()) return false;
+  // The server's pending accept() already holds an fd slot. A first client
+  // (on the one fd freed here) uses it up, so the next accept() fails with
+  // EMFILE, and keeps failing while the hog holds every fd.
+  ::close(hog.back());
+  hog.pop_back();
+  ShardClientOptions options;
+  options.port = shard.server->port();
+  options.io_timeout_seconds = 2.0;
+  ShardClient first(options);
+  if (!first.connect()) return false;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (const int fd : hog) ::close(fd);
+
+  ShardClient second(options);
+  return second.connect() && second.send_lus({walk_lu(2, 1)}) &&
+         second.tick(1.0, 1) && second.lookup(2, 1.0).has_value();
+}
+
+TEST(LuServerDeathTest, AcceptLoopSurvivesFdExhaustion) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(std::_Exit(served_after_fd_exhaustion() ? 0 : 1),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(LuServer, StartRequiresHooksAndStopIsIdempotent) {

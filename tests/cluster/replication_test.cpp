@@ -190,6 +190,31 @@ TEST(Replication, MidStreamFollowerConvergesBitExact) {
   EXPECT_GT(hub_stats.bytes_streamed, 0u);
 }
 
+TEST(Replication, ConnectReturnsOnceTheHubHoldsTheSubscriber) {
+  Primary primary(
+      (fs::temp_directory_path() / "mgrid_repl_ack_test").string());
+  const std::unique_ptr<serve::ShardedDirectory> follower_dir =
+      make_directory();
+  FollowerOptions follower_options;
+  follower_options.port = primary.server->port();
+  Follower follower(*follower_dir, follower_options);
+  std::string error;
+  ASSERT_TRUE(follower.connect(&error)) << error;
+  // No waiting: the very next barrier must bootstrap this follower.
+  EXPECT_EQ(primary.hub->stats().pending, 1u);
+
+  std::thread runner([&follower] { follower.run(); });
+  ShardClientOptions driver_options;
+  driver_options.port = primary.server->port();
+  ShardClient driver(driver_options);
+  ASSERT_TRUE(driver.connect());
+  ASSERT_TRUE(driver.tick(0.0, 0));
+  EXPECT_TRUE(eventually(
+      [&follower] { return follower.stats().snapshot_loaded; }));
+  follower.stop();
+  runner.join();
+}
+
 TEST(Replication, FollowerAttachedBeforeAnyDataStartsEmpty) {
   Primary primary(
       (fs::temp_directory_path() / "mgrid_repl_fresh_test").string());

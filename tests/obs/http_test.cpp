@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -142,9 +143,7 @@ TEST(HttpServer, HeadSuppressesBodyButKeepsHeaders) {
 
 TEST(HttpServer, ServesConcurrentClients) {
   std::atomic<int> calls{0};
-  http::ServerOptions options = ephemeral();
-  options.worker_threads = 4;
-  http::Server server(options, [&calls](const http::Request& request) {
+  http::Server server(ephemeral(), [&calls](const http::Request& request) {
     calls.fetch_add(1);
     return http::Response::text(200, "r:" + request.path);
   });
@@ -168,6 +167,61 @@ TEST(HttpServer, ServesConcurrentClients) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(calls.load(), kClients);
   EXPECT_EQ(server.stats().served, static_cast<std::uint64_t>(kClients));
+}
+
+TEST(HttpServer, AnswersConnectionsBeyondTheCapWith503) {
+  http::ServerOptions options = ephemeral();
+  options.io_timeout_seconds = 30.0;  // idle peers hold their slot
+  http::Server server(options, [](const http::Request&) {
+    return http::Response::text(200, "ok");
+  });
+  server.start();
+  const auto connect_loopback = [&server] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  };
+
+  constexpr std::size_t kCap =
+      mgrid::transport::ConnectionServer::kMaxConnections;
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < kCap; ++i) idle.push_back(connect_loopback());
+  for (int i = 0; i < 500 && server.stats().accepted < kCap; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.stats().accepted, kCap);
+
+  // The refusal is written before any request is read; sending none keeps
+  // the peer from resetting the connection under the response.
+  const int extra = connect_loopback();
+  mgrid::transport::set_io_timeout(extra, 2.0);
+  std::string busy;
+  char buffer[512];
+  for (ssize_t n; (n = ::recv(extra, buffer, sizeof(buffer), 0)) > 0;) {
+    busy.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(extra);
+  EXPECT_EQ(busy.rfind("HTTP/1.1 503 Service Unavailable\r\n", 0), 0u)
+      << busy;
+  EXPECT_EQ(server.stats().rejected_busy, 1u);
+
+  // Once an idle peer leaves, its slot serves requests again.
+  ::close(idle.back());
+  idle.pop_back();
+  int status = 0;
+  for (int i = 0; i < 100 && status != 200; ++i) {
+    status = http::http_get("127.0.0.1", server.port(), "/", 2.0).status;
+    if (status != 200) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(status, 200);
+  for (const int fd : idle) ::close(fd);
 }
 
 TEST(HttpServer, StopIsIdempotentAndJoinsThreads) {
