@@ -19,6 +19,13 @@
 //             probes it was winning. This is what makes shard join/leave
 //             move a bounded key range instead of a reshuffle.
 //
+// Lookup cost: each probe finds its successor point through a bucket index
+// built with the points — about 4 buckets per point, keyed by the probe's
+// top bits, each holding the index of its first point — so a probe scans a
+// few points instead of binary-searching all of them. The index changes
+// only the cost: successors, tie-breaking and the wrap are those of an
+// upper_bound over the sorted points.
+//
 // Hashes are fixed for the protocol's lifetime: vnode points are
 // splitmix64(fnv1a64("<name>#<vnode>")) and probe p of key mn is
 // splitmix64(splitmix64(mn) + p * 0x9E3779B97F4A7C15) — all frozen,
@@ -31,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mgrid::cluster {
@@ -40,7 +48,7 @@ struct RingOptions {
   /// linearly larger lookup table.
   std::size_t vnodes = 64;
   /// Lookup probes per key (>= 1). More probes = tighter spread, linearly
-  /// more binary searches per owner(); 1 degenerates to the classic ring.
+  /// more bucket scans per owner(); 1 degenerates to the classic ring.
   /// 21 is the multi-probe literature's sweet spot (~1.1x peak load even
   /// without vnodes).
   std::size_t probes = 21;
@@ -59,6 +67,14 @@ class HashRing {
   /// The node owning `mn`. Requires a non-empty ring (throws
   /// std::logic_error otherwise — asking an empty ring is a driver bug).
   [[nodiscard]] const std::string& owner(std::uint32_t mn) const;
+  /// owner() as an index into nodes() (valid until the next add/remove).
+  [[nodiscard]] std::uint32_t owner_index(std::uint32_t mn) const;
+
+  /// The first point strictly after `position`, wrapping past 2^64:
+  /// (point hash, index into nodes()). Requires a non-empty ring. Public so
+  /// tests can check successors at crafted positions.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> successor(
+      std::uint64_t position) const;
 
   /// Node names, sorted.
   [[nodiscard]] std::vector<std::string> nodes() const;
@@ -79,6 +95,9 @@ class HashRing {
 
  private:
   void rebuild_points();
+  /// Index into points_ of successor(position).
+  [[nodiscard]] std::size_t successor_index(
+      std::uint64_t position) const noexcept;
 
   RingOptions options_;
   std::vector<std::string> nodes_;  ///< Sorted by name.
@@ -87,6 +106,11 @@ class HashRing {
   /// (vanishingly rare) break by name so the table is deterministic
   /// regardless of insertion order.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+  /// Bucket index over points_: bucket b covers positions whose top bits
+  /// (position >> bucket_shift_) equal b and holds the index of the first
+  /// point >= the bucket's base; one trailing entry holds points_.size().
+  std::vector<std::uint32_t> buckets_;
+  unsigned bucket_shift_ = 63;
   std::uint64_t version_ = 0;
 };
 

@@ -38,6 +38,7 @@ Router::Router(RouterOptions options, std::vector<RouterShardConfig> shards)
     shards_.push_back(std::make_unique<Shard>(config, options_));
     health_[config.name].name = config.name;
   }
+  index_shards_locked();
   ring_version_gauge_ = obs::current_registry().gauge(
       "mgrid_cluster_ring_version", {},
       "Monotonic version of the router's consistent-hash ring");
@@ -88,8 +89,7 @@ bool Router::submit(const wire::LuMsg& msg) {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return false;
-  Shard* shard = find_locked(ring_.owner(msg.mn));
-  if (shard == nullptr) return false;
+  Shard* shard = owner_locked(msg.mn);
   shard->batch.push_back(entry);
   if (shard->batch.size() >= options_.batch_size) {
     return send_batch_locked(*shard);
@@ -129,8 +129,7 @@ std::optional<wire::LookupReplyMsg> Router::lookup(std::uint32_t mn,
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return std::nullopt;
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard* shard = find_locked(ring_.owner(mn));
-  if (shard == nullptr) return std::nullopt;
+  Shard* shard = owner_locked(mn);
   // A lookup must see every LU forwarded before it, so the owner's pending
   // batch goes first.
   if (!shard->batch.empty() && !send_batch_locked(*shard)) {
@@ -204,6 +203,7 @@ bool Router::add_shard(const RouterShardConfig& config, std::string* error) {
     return false;
   }
   shards_.push_back(std::move(shard));
+  index_shards_locked();
   ring_version_gauge_.set(static_cast<double>(ring_.version()));
   const std::lock_guard<std::mutex> health_lock(health_mutex_);
   health_[config.name].name = config.name;
@@ -221,6 +221,7 @@ bool Router::remove_shard(const std::string& name) {
       break;
     }
   }
+  index_shards_locked();
   const std::lock_guard<std::mutex> health_lock(health_mutex_);
   health_.erase(name);
   return true;
@@ -327,6 +328,13 @@ Router::Shard* Router::find_locked(const std::string& name) {
     if (shard->config.name == name) return shard.get();
   }
   return nullptr;
+}
+
+void Router::index_shards_locked() {
+  by_node_.clear();
+  for (const std::string& name : ring_.nodes()) {
+    by_node_.push_back(find_locked(name));
+  }
 }
 
 bool Router::send_batch_locked(Shard& shard) {

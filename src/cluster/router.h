@@ -166,6 +166,12 @@ class Router {
   /// way; failures count lus_dropped.
   bool send_batch_locked(Shard& shard);
   [[nodiscard]] Shard* find_locked(const std::string& name);
+  /// Rebuilds by_node_ after a ring membership change (data mutex held).
+  void index_shards_locked();
+  /// The owner shard of `mn` (data mutex held; shards_ non-empty).
+  [[nodiscard]] Shard* owner_locked(std::uint32_t mn) const {
+    return by_node_[ring_.owner_index(mn)];
+  }
 
   RouterOptions options_;
 
@@ -173,6 +179,9 @@ class Router {
   mutable std::mutex mutex_;
   HashRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// shards_ by ring node index (the order of ring_.nodes()), so routing an
+  /// LU costs no name compare.
+  std::vector<Shard*> by_node_;
 
   /// Health state (separate lock: probes must not stall submits).
   mutable std::mutex health_mutex_;

@@ -108,21 +108,27 @@ FilterDecision AdaptiveDistanceFilter::update_dth(MnId mn, SimTime t,
     }
   }
 
+  // (2) classify + cluster, both from one pass over the window.
   FilterDecision decision;
-  decision.pattern = classifier_.classify(mn);
-
-  // (2) classify + cluster.
+  const MotionFeatures features = classifier_.features(mn);
+  decision.pattern = classifier_.classify(features);
   if (decision.pattern == mobility::MobilityPattern::kStop) {
     clusterer_.remove(mn);
     decision.dth = stop_dth();
   } else {
-    const MotionFeatures features = classifier_.features(mn);
     decision.cluster = clusterer_.assign(mn, features);
     decision.dth = params_.dth_factor *
                    clusterer_.cluster(decision.cluster).mean_speed() *
                    params_.sample_period;
   }
-  current_dth_[mn] = decision.dth;
+  const auto slot = static_cast<std::size_t>(mn.value());
+  if (slot >= current_dth_.size()) {
+    // A new largest MnId: size the clusterer's table with ours, so this
+    // MN's first non-stop sample allocates nothing either.
+    current_dth_.resize(slot + 1, 0.0);
+    clusterer_.reserve(slot + 1);
+  }
+  current_dth_[slot] = decision.dth;
   decision.transmit = true;
   if (obs::eventlog_enabled()) obs::evt::threshold(decision.dth);
   if (obs::enabled()) {
@@ -131,7 +137,6 @@ FilterDecision AdaptiveDistanceFilter::update_dth(MnId mn, SimTime t,
     metrics.clusters.set(static_cast<double>(clusterer_.cluster_count()));
     // State-transition accounting (per-MN last pattern is only maintained
     // while telemetry is on; the first enabled sample seeds it silently).
-    const auto slot = static_cast<std::size_t>(mn.value());
     if (slot >= last_pattern_.size()) last_pattern_.resize(slot + 1, 0xFF);
     const std::uint8_t previous = last_pattern_[slot];
     const auto current = static_cast<std::uint8_t>(decision.pattern);
@@ -149,8 +154,8 @@ void AdaptiveDistanceFilter::note_forced_transmit(MnId mn, SimTime /*t*/,
 }
 
 double AdaptiveDistanceFilter::current_dth(MnId mn) const {
-  auto it = current_dth_.find(mn);
-  return it == current_dth_.end() ? 0.0 : it->second;
+  const auto slot = static_cast<std::size_t>(mn.value());
+  return slot < current_dth_.size() ? current_dth_[slot] : 0.0;
 }
 
 }  // namespace mgrid::core

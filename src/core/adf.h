@@ -12,6 +12,11 @@
 // The first classification + clustering happens implicitly on each node's
 // first samples (steps 1-2 of the paper's six-step process run once, the
 // rest repeat).
+//
+// Per sample the motion features are computed once and feed both the
+// classifier and the clusterer; every per-MN table (classifier windows,
+// memberships, anchors, DTHs) is a dense MnId-indexed vector, so once an MN
+// has been seen its samples allocate nothing unless they found a cluster.
 #pragma once
 
 #include <cstdint>
@@ -85,12 +90,11 @@ class AdaptiveDistanceFilter final : public LocationUpdateFilter {
   MobilityClassifier classifier_;
   SequentialClusterer clusterer_;
   DistanceFilter filter_;
-  std::unordered_map<MnId, double> current_dth_;
-  /// Last classified pattern per MN, maintained only while telemetry is
-  /// enabled (feeds mgrid_adf_transitions_total).
+  /// DTH per MN, indexed by MnId value (0 = never processed).
+  std::vector<double> current_dth_;
   /// Last classified pattern per MN (telemetry transition matrix), indexed
-  /// by MnId value; 0xFF = not yet seen. MnIds are dense in practice, so a
-  /// flat vector beats a hash map on the per-sample hot path.
+  /// by MnId value and maintained only while telemetry is enabled; 0xFF =
+  /// not yet seen.
   std::vector<std::uint8_t> last_pattern_;
   SimTime last_rebuild_ = 0.0;
   bool rebuild_clock_started_ = false;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/eventlog.h"
 #include "stats/running_stats.h"
@@ -34,48 +33,81 @@ void MobilityClassifier::observe(MnId mn, SimTime t, geo::Vec2 position) {
   if (!mn.valid()) {
     throw std::invalid_argument("MobilityClassifier::observe: invalid MnId");
   }
-  auto& window = windows_[mn];
-  if (!window.empty()) {
-    if (t < window.back().t) {
-      throw std::invalid_argument(
-          "MobilityClassifier::observe: time went backwards");
-    }
-    if (t == window.back().t) return;  // duplicate tick
+  const std::size_t slot = mn.value();
+  const std::size_t capacity = params_.window - 1;  // segments per window
+  if (slot >= windows_.size()) {
+    windows_.resize(slot + 1);
+    segments_.resize((slot + 1) * capacity);
   }
-  window.push_back(Sample{t, position});
-  while (window.size() > params_.window) window.pop_front();
+  Window& window = windows_[slot];
+  if (window.samples == 0) {
+    ++tracked_;
+    window.last_t = t;
+    window.last_position = position;
+    window.samples = 1;
+    return;
+  }
+  if (t < window.last_t) {
+    throw std::invalid_argument(
+        "MobilityClassifier::observe: time went backwards");
+  }
+  if (t == window.last_t) return;  // duplicate tick
+
+  Segment segment;
+  const Duration dt = t - window.last_t;
+  const geo::Vec2 displacement = position - window.last_position;
+  segment.speed = displacement.norm() / dt;
+  // The heading of a (near-)zero displacement is noise, not direction.
+  if (segment.speed >= params_.stop_epsilon) {
+    segment.heading = displacement.heading();
+  }
+  Segment* ring = &segments_[slot * capacity];
+  if (window.samples < params_.window) {
+    std::size_t next = window.head + window.samples - 1;
+    if (next >= capacity) next -= capacity;
+    ring[next] = segment;
+    ++window.samples;
+  } else {  // full: the oldest sample leaves, and its segment with it
+    ring[window.head] = segment;
+    if (++window.head == capacity) window.head = 0;
+  }
+  window.last_t = t;
+  window.last_position = position;
 }
 
 MotionFeatures MobilityClassifier::features(MnId mn) const {
   MotionFeatures out;
-  auto it = windows_.find(mn);
-  if (it == windows_.end()) return out;
-  const std::deque<Sample>& window = it->second;
-  out.samples = window.size();
-  if (window.size() < 2) return out;
+  const std::size_t slot = mn.value();
+  if (slot >= windows_.size()) return out;
+  const Window& window = windows_[slot];
+  out.samples = window.samples;
+  if (window.samples < 2) return out;
 
+  const std::size_t capacity = params_.window - 1;
+  const Segment* ring = &segments_[slot * capacity];
   stats::RunningStats speeds;
-  std::vector<double> headings;  // headings of moving segments only
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    const Duration dt = window[i].t - window[i - 1].t;
-    const geo::Vec2 displacement =
-        window[i].position - window[i - 1].position;
-    const double dist = displacement.norm();
-    speeds.add(dist / dt);
-    // The heading of a (near-)zero displacement is noise, not direction.
-    if (dist / dt >= params_.stop_epsilon) {
-      headings.push_back(displacement.heading());
+  // Heading changes between consecutive moving segments.
+  stats::RunningStats changes;
+  std::size_t headings = 0;  // moving segments seen
+  double last_heading = 0.0;
+  std::size_t index = window.head;
+  for (std::size_t i = 1; i < window.samples; ++i) {
+    const Segment& segment = ring[index];
+    if (++index == capacity) index = 0;
+    speeds.add(segment.speed);
+    if (segment.speed >= params_.stop_epsilon) {
+      if (headings > 0) {
+        changes.add(geo::angle_diff(segment.heading, last_heading));
+      }
+      last_heading = segment.heading;
+      ++headings;
     }
   }
   out.mean_speed = speeds.mean();
   out.speed_stddev = speeds.stddev();
-  if (!headings.empty()) out.heading = headings.back();
+  if (headings > 0) out.heading = last_heading;
 
-  if (headings.size() >= 2) {
-    stats::RunningStats changes;
-    for (std::size_t i = 1; i < headings.size(); ++i) {
-      changes.add(geo::angle_diff(headings[i], headings[i - 1]));
-    }
+  if (headings >= 2) {
     // RMS movement produces zero-mean but high-variance heading changes;
     // use the RMS of the change (not the stddev about the mean) so a single
     // steady turn still reads as "one direction change".
@@ -87,7 +119,11 @@ MotionFeatures MobilityClassifier::features(MnId mn) const {
 }
 
 mobility::MobilityPattern MobilityClassifier::classify(MnId mn) const {
-  const MotionFeatures f = features(mn);
+  return classify(features(mn));
+}
+
+mobility::MobilityPattern MobilityClassifier::classify(
+    const MotionFeatures& f) const {
   mobility::MobilityPattern pattern = mobility::MobilityPattern::kLinear;
   // Fig. 2, line 1: V_mn == 0 -> Stop.
   if (f.samples < 2 || f.mean_speed < params_.stop_epsilon) {
@@ -109,6 +145,11 @@ mobility::MobilityPattern MobilityClassifier::classify(MnId mn) const {
   return pattern;
 }
 
-void MobilityClassifier::forget(MnId mn) { windows_.erase(mn); }
+void MobilityClassifier::forget(MnId mn) {
+  const std::size_t slot = mn.value();
+  if (slot >= windows_.size() || windows_[slot].samples == 0) return;
+  windows_[slot] = Window{};
+  --tracked_;
+}
 
 }  // namespace mgrid::core

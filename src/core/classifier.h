@@ -7,10 +7,17 @@
 //                                                vehicle)
 //   0 < V_mn <= V_walk, V and D constant      -> Linear Movement (walking)
 //   0 < V_mn <= V_walk, V or D change often   -> Random Movement
+//
+// Per-MN state is dense: each MN's window is a fixed ring of the
+// `window - 1` segments between its last `window` samples, in one flat array
+// indexed by MnId value. A segment's speed and heading are derived once,
+// when its later sample arrives, so featurising a window is one pass over
+// cached segments that touches no hash table and allocates nothing. Memory
+// grows with the largest MnId observed; ids are dense in practice.
 #pragma once
 
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "core/motion_features.h"
 #include "mobility/mobility_model.h"
@@ -44,28 +51,48 @@ class MobilityClassifier {
   /// Classifies from the current window. An MN with fewer than 2 samples is
   /// SS (nothing has been seen moving yet).
   [[nodiscard]] mobility::MobilityPattern classify(MnId mn) const;
+  /// Classifies features already computed by features(), so a caller that
+  /// also clusters on them runs the window pass once.
+  [[nodiscard]] mobility::MobilityPattern classify(
+      const MotionFeatures& features) const;
 
   /// Motion features for the clusterer (zeroed when unknown MN).
+  /// Allocation-free.
   [[nodiscard]] MotionFeatures features(MnId mn) const;
 
   /// Drops an MN's history (e.g. when it leaves the grid).
   void forget(MnId mn);
 
   [[nodiscard]] std::size_t tracked_count() const noexcept {
-    return windows_.size();
+    return tracked_;
   }
   [[nodiscard]] const ClassifierParams& params() const noexcept {
     return params_;
   }
 
  private:
-  struct Sample {
-    SimTime t;
-    geo::Vec2 position;
+  /// The move between two consecutive samples, derived once when the later
+  /// sample arrives: its speed and, when moving, its heading.
+  struct Segment {
+    double speed = 0.0;
+    double heading = 0.0;
+  };
+  /// One MN's window: its newest sample plus a ring of the segments between
+  /// the `samples` it holds, the oldest at `head`.
+  struct Window {
+    SimTime last_t = 0.0;
+    geo::Vec2 last_position;
+    std::uint32_t head = 0;
+    std::uint32_t samples = 0;
   };
 
   ClassifierParams params_;
-  std::unordered_map<MnId, std::deque<Sample>> windows_;
+  /// By MnId value; 0 samples = not tracked.
+  std::vector<Window> windows_;
+  /// Segment rings: MN m owns the `window - 1` slots from
+  /// m * (window - 1).
+  std::vector<Segment> segments_;
+  std::size_t tracked_ = 0;
 };
 
 }  // namespace mgrid::core

@@ -25,6 +25,7 @@ ClusterId SequentialClusterer::create_cluster(const ClusterFeature& seed) {
   state.info.id = id;
   state.info.centroid = seed;
   clusters_.push_back(std::move(state));
+  live_.push_back(id.value());  // the largest id so far: stays ascending
   ++clusters_created_;
   return id;
 }
@@ -36,19 +37,28 @@ void SequentialClusterer::add_member(ClusterState& cluster, MnId mn,
   cluster.sum_dir_y += f.dir_y;
   ++cluster.info.size;
   refresh_centroid(cluster);
-  memberships_[mn] = cluster.info.id;
+  const std::size_t slot = mn.value();
+  if (slot >= memberships_.size()) memberships_.resize(slot + 1);
+  Membership& membership = memberships_[slot];
+  if (!membership.cluster.valid()) ++member_count_;
+  membership.cluster = cluster.info.id;
+  membership.feature = f;
 }
 
 void SequentialClusterer::remove_member(ClusterState& cluster, MnId mn) {
-  const ClusterFeature& f = latest_features_.at(mn);
+  Membership& membership = memberships_[mn.value()];
+  const ClusterFeature& f = membership.feature;
   cluster.sum_speed -= f.speed;
   cluster.sum_dir_x -= f.dir_x;
   cluster.sum_dir_y -= f.dir_y;
   --cluster.info.size;
   refresh_centroid(cluster);
-  memberships_.erase(mn);
-  if (cluster.info.size == 0) {
-    clusters_[cluster.info.id.value()].reset();  // retire
+  membership.cluster = ClusterId::invalid();
+  --member_count_;
+  if (cluster.info.size == 0) {  // retire
+    const ClusterId::value_type id = cluster.info.id.value();
+    clusters_[id].reset();
+    live_.erase(std::lower_bound(live_.begin(), live_.end(), id));
   }
 }
 
@@ -64,12 +74,12 @@ SequentialClusterer::ClusterState* SequentialClusterer::find_nearest(
     const ClusterFeature& f, double* out_distance) {
   ClusterState* best = nullptr;
   double best_d = std::numeric_limits<double>::infinity();
-  for (auto& slot : clusters_) {
-    if (!slot) continue;
-    const double d = f.distance_to(slot->info.centroid);
+  for (const ClusterId::value_type id : live_) {
+    ClusterState& cluster = *clusters_[id];
+    const double d = f.distance_to(cluster.info.centroid);
     if (d < best_d) {
       best_d = d;
-      best = &*slot;
+      best = &cluster;
     }
   }
   if (out_distance != nullptr) *out_distance = best_d;
@@ -86,10 +96,9 @@ ClusterId SequentialClusterer::assign(MnId mn,
 
   // Detach from the current cluster first so the node's stale feature does
   // not drag the centroid it is being compared against.
-  if (auto it = memberships_.find(mn); it != memberships_.end()) {
-    remove_member(*clusters_[it->second.value()], mn);
+  if (const std::optional<ClusterId> current = cluster_of(mn)) {
+    remove_member(*clusters_[current->value()], mn);
   }
-  latest_features_[mn] = f;
 
   double nearest_distance = 0.0;
   ClusterState* nearest = find_nearest(f, &nearest_distance);
@@ -112,17 +121,22 @@ ClusterId SequentialClusterer::assign(MnId mn,
 }
 
 bool SequentialClusterer::remove(MnId mn) {
-  auto it = memberships_.find(mn);
-  if (it == memberships_.end()) return false;
-  remove_member(*clusters_[it->second.value()], mn);
-  latest_features_.erase(mn);
+  const std::optional<ClusterId> current = cluster_of(mn);
+  if (!current) return false;
+  remove_member(*clusters_[current->value()], mn);
   return true;
 }
 
+void SequentialClusterer::reserve(std::size_t mn_count) {
+  if (mn_count > memberships_.size()) memberships_.resize(mn_count);
+}
+
 std::optional<ClusterId> SequentialClusterer::cluster_of(MnId mn) const {
-  auto it = memberships_.find(mn);
-  if (it == memberships_.end()) return std::nullopt;
-  return it->second;
+  const std::size_t slot = mn.value();
+  if (slot >= memberships_.size() || !memberships_[slot].cluster.valid()) {
+    return std::nullopt;
+  }
+  return memberships_[slot].cluster;
 }
 
 const ClusterInfo& SequentialClusterer::cluster(ClusterId id) const {
@@ -135,18 +149,11 @@ const ClusterInfo& SequentialClusterer::cluster(ClusterId id) const {
 
 std::vector<ClusterInfo> SequentialClusterer::clusters() const {
   std::vector<ClusterInfo> out;
-  for (const auto& slot : clusters_) {
-    if (slot) out.push_back(slot->info);
+  out.reserve(live_.size());
+  for (const ClusterId::value_type id : live_) {
+    out.push_back(clusters_[id]->info);
   }
   return out;
-}
-
-std::size_t SequentialClusterer::cluster_count() const noexcept {
-  std::size_t count = 0;
-  for (const auto& slot : clusters_) {
-    if (slot) ++count;
-  }
-  return count;
 }
 
 void SequentialClusterer::rebuild(double merge_fraction) {
@@ -154,15 +161,15 @@ void SequentialClusterer::rebuild(double merge_fraction) {
     throw std::invalid_argument(
         "SequentialClusterer::rebuild: merge_fraction must be >= 0");
   }
-  // Snapshot members in MnId order for determinism.
-  std::vector<std::pair<MnId, ClusterFeature>> members(
-      latest_features_.begin(), latest_features_.end());
-  std::sort(members.begin(), members.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
+  // Re-assign every member in MnId order for determinism. Each member keeps
+  // its (stale) cluster id until its turn, which marks it as a member; only
+  // the slot being visited changes.
   clusters_.clear();
-  memberships_.clear();
-  for (const auto& [mn, f] : members) {
+  live_.clear();
+  for (std::size_t slot = 0; slot < memberships_.size(); ++slot) {
+    if (!memberships_[slot].cluster.valid()) continue;
+    const MnId mn{static_cast<MnId::value_type>(slot)};
+    const ClusterFeature f = memberships_[slot].feature;
     double nearest_distance = 0.0;
     ClusterState* nearest = find_nearest(f, &nearest_distance);
     const bool cap_reached =
@@ -187,14 +194,13 @@ void SequentialClusterer::rebuild(double merge_fraction) {
               clusters_[j]->info.centroid) > merge_radius) {
         continue;
       }
-      // Move every member of j into i.
-      std::vector<MnId> moved;
-      for (const auto& [mn, cid] : memberships_) {
-        if (cid == clusters_[j]->info.id) moved.push_back(mn);
-      }
-      std::sort(moved.begin(), moved.end());
-      for (MnId mn : moved) {
-        const ClusterFeature f = latest_features_.at(mn);
+      // Move every member of j into i, in MnId order. The last one out
+      // retires j.
+      const ClusterId from = clusters_[j]->info.id;
+      for (std::size_t slot = 0; slot < memberships_.size(); ++slot) {
+        if (memberships_[slot].cluster != from) continue;
+        const MnId mn{static_cast<MnId::value_type>(slot)};
+        const ClusterFeature f = memberships_[slot].feature;
         remove_member(*clusters_[j], mn);
         add_member(*clusters_[i], mn, f);
       }

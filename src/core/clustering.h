@@ -6,11 +6,15 @@
 // similarity bound alpha; otherwise a new cluster is created. Centroids are
 // running means over current members. The cluster's mean speed is what the
 // ADF turns into a Distance Threshold.
+//
+// Cost: assign() scans live clusters only (ascending id, so nearest-cluster
+// ties break as they would over every slot), cluster_count() is a kept
+// count, and per-MN membership is a dense MnId-indexed table, so a sample
+// touches no hash table. Memory grows with the largest MnId assigned.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/motion_features.h"
@@ -51,6 +55,10 @@ class SequentialClusterer {
   /// node was not clustered. Empty clusters are retired.
   bool remove(MnId mn);
 
+  /// Sizes the per-MN table for MnIds below `mn_count`, so assigning
+  /// those MNs later allocates nothing.
+  void reserve(std::size_t mn_count);
+
   /// Cluster of a node, if any.
   [[nodiscard]] std::optional<ClusterId> cluster_of(MnId mn) const;
 
@@ -59,9 +67,11 @@ class SequentialClusterer {
 
   /// Live clusters, ordered by id.
   [[nodiscard]] std::vector<ClusterInfo> clusters() const;
-  [[nodiscard]] std::size_t cluster_count() const noexcept;
+  [[nodiscard]] std::size_t cluster_count() const noexcept {
+    return live_.size();
+  }
   [[nodiscard]] std::size_t member_count() const noexcept {
-    return memberships_.size();
+    return member_count_;
   }
 
   /// Reconstruction (paper step 6): re-assigns every member from scratch in
@@ -94,11 +104,21 @@ class SequentialClusterer {
   [[nodiscard]] ClusterState* find_nearest(const ClusterFeature& f,
                                            double* out_distance);
 
+  /// One MN's membership: its cluster (invalid = not clustered) and the
+  /// feature it joined with (what leaving subtracts from the centroid).
+  struct Membership {
+    ClusterId cluster;
+    ClusterFeature feature;
+  };
+
   ClusteringParams params_;
   // Dense-by-id storage; retired clusters become nullopt slots.
   std::vector<std::optional<ClusterState>> clusters_;
-  std::unordered_map<MnId, ClusterId> memberships_;
-  std::unordered_map<MnId, ClusterFeature> latest_features_;
+  /// Ids of the live clusters, ascending.
+  std::vector<ClusterId::value_type> live_;
+  /// By MnId value.
+  std::vector<Membership> memberships_;
+  std::size_t member_count_ = 0;
   std::uint64_t clusters_created_ = 0;
 };
 

@@ -6,11 +6,15 @@
 // transmission (not the previous sample) means displacement accumulates, so
 // even a slow mover eventually reports and the broker's error stays bounded
 // by ~DTH.
+//
+// Anchors live in a dense vector indexed by MnId value: one bounds check
+// and one load per sample, no hashing. Memory grows with the largest MnId
+// seen.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "geo/vec2.h"
 #include "util/types.h"
@@ -32,6 +36,7 @@ class DistanceFilter {
 
   /// Transmits unconditionally and moves the anchor (used for forced
   /// refreshes). Returns the distance moved since the previous anchor.
+  /// Throws std::invalid_argument for an invalid MnId.
   double force_transmit(MnId mn, geo::Vec2 position);
 
   /// Last transmitted position of an MN, if any.
@@ -39,7 +44,7 @@ class DistanceFilter {
 
   void forget(MnId mn);
   [[nodiscard]] std::size_t tracked_count() const noexcept {
-    return anchors_.size();
+    return tracked_;
   }
 
   [[nodiscard]] std::uint64_t transmitted() const noexcept {
@@ -48,7 +53,16 @@ class DistanceFilter {
   [[nodiscard]] std::uint64_t filtered() const noexcept { return filtered_; }
 
  private:
-  std::unordered_map<MnId, geo::Vec2> anchors_;
+  struct Anchor {
+    geo::Vec2 position;
+    bool set = false;
+  };
+
+  /// The anchor for `mn`, grown into existence (unset) when new.
+  Anchor& anchor(MnId mn);
+
+  std::vector<Anchor> anchors_;  ///< By MnId value.
+  std::size_t tracked_ = 0;
   std::uint64_t transmitted_ = 0;
   std::uint64_t filtered_ = 0;
 };

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numbers>
 
 #include "core/baselines.h"
+#include "geo/campus.h"
+#include "scenario/workload.h"
 #include "util/rng.h"
 
 namespace mgrid::core {
@@ -241,6 +245,43 @@ TEST(Adf, AdaptiveBeatsGeneralOnHeterogeneousPopulation) {
   // The per-cluster DTH lets slow nodes report far more often than the
   // population-mean DTH does.
   EXPECT_GT(adf_slow, 2 * general_slow);
+}
+
+/// Digest of every decision the ADF makes on a fixed-seed Table-1 stream
+/// (140 MNs, 600 one-second samples each): transmit flag, the DTH's bit
+/// pattern, the mobility pattern and the cluster id, in arrival order.
+std::uint64_t table1_decision_digest(Duration recluster_interval) {
+  const geo::CampusMap campus = geo::CampusMap::default_campus();
+  const util::RngRegistry rng(7);
+  scenario::Workload workload(campus, scenario::WorkloadParams{}, rng);
+  AdfParams params;
+  params.recluster_interval = recluster_interval;
+  AdaptiveDistanceFilter adf(params);
+  std::uint64_t digest = 0;
+  const auto mix = [&digest](std::uint64_t value) {
+    digest = util::splitmix64(digest ^ value);
+  };
+  for (int t = 1; t <= 600; ++t) {
+    workload.step_all(1.0);
+    for (const mobility::MobileNode& node : workload.nodes()) {
+      const FilterDecision decision =
+          adf.process(node.id(), t, node.position());
+      mix(decision.transmit ? 1 : 0);
+      mix(std::bit_cast<std::uint64_t>(decision.dth));
+      mix(static_cast<std::uint64_t>(decision.pattern));
+      mix(decision.cluster.value());
+    }
+  }
+  return digest;
+}
+
+// golden_regression_test compares RMSE to 1e-9, which a reordered
+// nearest-cluster tie or a one-ulp DTH change can slip past; these digests
+// pin the decision stream itself. Captured on the two-pass, hash-map ADF;
+// a digest change is a behaviour change.
+TEST(Adf, Table1DecisionStreamIsPinned) {
+  EXPECT_EQ(table1_decision_digest(30.0), 0x067afeeb1a8693d3ull);
+  EXPECT_EQ(table1_decision_digest(0.0), 0x301de62e0cb02ad8ull);
 }
 
 }  // namespace
