@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of every hot component: the distance
-// filter, classifier, clusterer, estimators, event queue, Dijkstra routing
+// filter, classifier, clusterer, estimators, Dijkstra routing
 // and a full federation cycle. These quantify the ADF's processing cost —
 // the overhead budget a real deployment would pay per LU.
 #include <benchmark/benchmark.h>
@@ -13,7 +13,6 @@
 #include "estimation/brown_estimator.h"
 #include "geo/campus.h"
 #include "scenario/experiment.h"
-#include "sim/event_queue.h"
 #include "util/rng.h"
 
 using namespace mgrid;
@@ -109,18 +108,6 @@ void BM_ArEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArEstimate);
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  sim::EventQueue queue;
-  util::RngStream rng(7);
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      queue.schedule(rng.uniform(0.0, 100.0), [] {});
-    }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
-  }
-}
-BENCHMARK(BM_EventQueueScheduleAndPop);
 
 void BM_CampusDijkstra(benchmark::State& state) {
   const geo::CampusMap campus = geo::CampusMap::default_campus();

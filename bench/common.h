@@ -34,9 +34,6 @@ inline BenchArgs parse_args(int argc, char** argv,
   args.base.seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
   args.base.sample_period = config.get_double("sample_period", 1.0);
   args.base.motion_dt = config.get_double("motion_dt", 0.1);
-  if (config.get_bool("threaded", false)) {
-    args.base.mode = mgrid::sim::ExecutionMode::kThreaded;
-  }
   args.factors = config.get_double_list("factors", args.factors);
   args.csv_dir = config.get_string("csv_dir", "");
   if (out_config != nullptr) *out_config = config;

@@ -11,8 +11,8 @@
 //     *forecast* crosses a threshold,
 //   * SensorFederate also subscribes to alarms and shuts its heater off.
 //
-// It then runs the federation in both executors and checks they agree —
-// the determinism property the experiments depend on.
+// It then runs the federation twice and checks both runs agree — the
+// determinism property the experiments depend on.
 //
 // Usage: federation_tour [duration=120]
 #include <iostream>
@@ -102,13 +102,13 @@ struct RunOutcome {
   sim::FederationStats stats;
 };
 
-RunOutcome run(double duration, sim::ExecutionMode mode) {
+RunOutcome run(double duration) {
   sim::Federation federation;
   auto sensor = std::make_shared<SensorFederate>(1234);
   auto monitor = std::make_shared<MonitorFederate>();
   federation.join(sensor);
   federation.join(monitor);
-  federation.run(0.0, duration, 1.0, mode);
+  federation.run(0.0, duration, 1.0);
   return RunOutcome{sensor->temperature(), monitor->readings(),
                     monitor->alarm_raised(), federation.stats()};
 }
@@ -120,27 +120,27 @@ int main(int argc, char** argv) {
       util::Config::from_args(std::vector<std::string>(argv + 1, argv + argc));
   const double duration = config.get_double("duration", 120.0);
 
-  const RunOutcome sequential = run(duration, sim::ExecutionMode::kSequential);
-  const RunOutcome threaded = run(duration, sim::ExecutionMode::kThreaded);
+  const RunOutcome first = run(duration);
+  const RunOutcome second = run(duration);
 
   std::cout << "federation tour: sensor + monitor, " << duration
             << " s, 1 s grants, sensor lookahead 2 s\n\n";
-  std::cout << "sequential: final temp "
-            << stats::format_double(sequential.final_temperature, 2)
-            << " C, readings " << sequential.readings << ", alarm "
-            << (sequential.alarm ? "raised" : "never raised") << ", "
-            << sequential.stats.interactions_sent << " interactions over "
-            << sequential.stats.cycles << " cycles\n";
-  std::cout << "threaded:   final temp "
-            << stats::format_double(threaded.final_temperature, 2)
-            << " C, readings " << threaded.readings << ", alarm "
-            << (threaded.alarm ? "raised" : "never raised") << '\n';
+  std::cout << "run 1: final temp "
+            << stats::format_double(first.final_temperature, 2)
+            << " C, readings " << first.readings << ", alarm "
+            << (first.alarm ? "raised" : "never raised") << ", "
+            << first.stats.interactions_sent << " interactions over "
+            << first.stats.cycles << " cycles\n";
+  std::cout << "run 2: final temp "
+            << stats::format_double(second.final_temperature, 2)
+            << " C, readings " << second.readings << ", alarm "
+            << (second.alarm ? "raised" : "never raised") << '\n';
 
   const bool identical =
-      sequential.final_temperature == threaded.final_temperature &&
-      sequential.readings == threaded.readings &&
-      sequential.alarm == threaded.alarm;
-  std::cout << "\nexecutors agree bit-for-bit: "
+      first.final_temperature == second.final_temperature &&
+      first.readings == second.readings && first.alarm == second.alarm &&
+      first.stats.interactions_sent == second.stats.interactions_sent;
+  std::cout << "\nruns agree bit-for-bit: "
             << (identical ? "YES" : "NO — this is a bug") << '\n';
   std::cout << "note the feedback loop's latency: reading (2 s lookahead) + "
                "alarm (same-cycle stamp, next-cycle delivery) — conservative "

@@ -13,7 +13,7 @@
 //   scoring [realtime|logical]
 //   device_side [false] keepalive [0]
 //   loss [0] burst_enter [0] burst_exit [0.25]
-//   campus_blocks [0 = paper campus] threaded [false]
+//   campus_blocks [0 = paper campus]
 //   alpha [0.8 clustering bound] recluster [30]
 //   csv [path to dump the per-second LU + RMSE series]
 //
@@ -66,9 +66,6 @@ int main(int argc, char** argv) {
   options.burst.p_exit_bad = config.get_double("burst_exit", 0.25);
   options.campus_blocks =
       static_cast<std::size_t>(config.get_int("campus_blocks", 0));
-  if (config.get_bool("threaded", false)) {
-    options.mode = sim::ExecutionMode::kThreaded;
-  }
   options.adf.clustering.alpha = config.get_double("alpha", 0.8);
   options.adf.recluster_interval = config.get_double("recluster", 30.0);
   options.adf_shards =

@@ -34,8 +34,6 @@ enum class MessageKind {
   kDthUpdate,
 };
 
-[[nodiscard]] std::string_view to_string(MessageKind kind) noexcept;
-
 struct Message : sim::InteractionPayload {
   [[nodiscard]] virtual MessageKind kind() const noexcept = 0;
   /// Payload size excluding the envelope.

@@ -421,8 +421,7 @@ void sample(std::uint32_t mn, double t, double x, double y, char region) {
   // A sampled-out node parks a dead cursor so the dozen downstream
   // annotations bail on the inline t_cursor_live gate instead of
   // re-testing the stride. A null record with a *live* cursor still
-  // matters: create-amends (broker estimates racing the same-tick begin)
-  // must be able to open it.
+  // matters: create-amends (broker estimates) must be able to open it.
   LuDecisionRecord* record = log->begin(mn, t, x, y, region);
   const bool live = log->wants(mn);
   t_cursor = Cursor{log, record, mn, t, live};
@@ -496,9 +495,8 @@ void forced_refresh_impl() {
 }
 
 void estimate_clamped_impl() {
-  // create=true: the broker's tick-t estimate can race the same-tick
-  // begin() in threaded federation mode; the merged record is identical
-  // either way.
+  // create=true: the merged record is the same whether or not the
+  // same-tick begin() ran first.
   amend_cursor([&](LuDecisionRecord& r) { r.est_clamped = true; },
                /*create=*/true);
 }

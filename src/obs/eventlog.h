@@ -5,11 +5,11 @@
 // (mgrid-eventlog-v1).
 //
 // Injection mirrors obs::MetricsRegistry exactly: a ScopedEventLog installs
-// a log for the current thread (sweep workers and threaded federation
-// workers inherit their parent's log), eventlog_enabled() is a single
-// relaxed atomic load so fully-disabled call sites cost one load + one
-// never-taken branch, and export sorts records by (sim time, node id) so
-// the serialized document is byte-identical regardless of worker count.
+// a log for the current thread (each sweep worker installs its job's log),
+// eventlog_enabled() is a single relaxed atomic load so fully-disabled call
+// sites cost one load + one never-taken branch, and export sorts records by
+// (sim time, node id) so the serialized document is byte-identical
+// regardless of worker count.
 //
 // Layering: mg_obs sits below geo/mobility/net, so records hold only
 // primitives — region and classified state are single-char codes ('R'oad /
@@ -153,8 +153,8 @@ class EventLog {
   /// Applies `fn(LuDecisionRecord&)` under the shard lock if the record
   /// exists. Returns false when the key is absent. With `create` the
   /// record is opened on demand (same sampling/capacity rules as begin()):
-  /// used by annotations that may race the same-tick begin() in threaded
-  /// federation mode, so the final record is order-independent.
+  /// used by broker-side annotations, so the final record does not depend
+  /// on whether the same-tick begin() ran first.
   template <typename Fn>
   bool amend(std::uint32_t mn, double t, Fn&& fn, bool create = false) {
     if (!wants(mn)) return false;
@@ -263,9 +263,8 @@ EventLog* exchange_current_event_log(EventLog* log) noexcept;
 /// The calling thread's installed log, or nullptr.
 [[nodiscard]] EventLog* current_event_log() noexcept;
 
-/// RAII per-thread install, mirroring obs::ScopedRegistry: sweep and
-/// federation workers install their parent's log so concurrent jobs never
-/// cross-contaminate.
+/// RAII per-thread install, mirroring obs::ScopedRegistry: each sweep
+/// worker installs its job's log so concurrent jobs never cross-contaminate.
 class ScopedEventLog {
  public:
   explicit ScopedEventLog(EventLog& log) noexcept

@@ -1,7 +1,7 @@
 // Telemetry metrics: named, label-tagged counters, gauges and histograms.
 //
 // The registry is the single source of truth for runtime counters: the
-// kernel, federation, net, core and broker layers all record through handles
+// federation, net, core and broker layers all record through handles
 // acquired here, and the exporters (Prometheus text, CSV, JSON — see
 // obs/export.h) read one consistent snapshot.
 //
@@ -15,8 +15,9 @@
 // Concurrency model: handle operations are wait-free for counters (per-thread
 // shard of cache-line-padded atomics, summed at read time) and lock-sharded
 // for histograms (each shard owns a mutex + RunningStats + stats::Histogram,
-// merged at read time via RunningStats::merge / Histogram::merge). The
-// threaded federation executor therefore records without contention.
+// merged at read time via RunningStats::merge / Histogram::merge). Sweep
+// jobs, ingest workers and server threads therefore record without
+// contention.
 //
 // No-op mode: all recording is gated on one process-global atomic flag
 // (obs::enabled(), default OFF). Benches run with telemetry disabled unless
@@ -375,7 +376,7 @@ MetricsRegistry* exchange_current_registry(MetricsRegistry* registry) noexcept;
 }  // namespace detail
 
 /// Installs a registry as the calling thread's telemetry destination for a
-/// scope: every instrumented subsystem (kernel, federation, net, ADF, broker,
+/// scope: every instrumented subsystem (federation, net, ADF, broker,
 /// scenario collectors) resolves its handles through current_registry(), so
 /// concurrent experiments with distinct scoped registries record disjoint
 /// counters. Restores the previous override on destruction (nest freely).

@@ -10,8 +10,8 @@
 //     the simulation second it happened in.
 //
 // Recording is gated on the recorder's own enable flag (default off; a
-// single relaxed atomic load when disabled) and is thread-safe: the threaded
-// federation executor traces from worker threads.
+// single relaxed atomic load when disabled) and is thread-safe: sweep
+// workers and server threads may trace concurrently.
 #pragma once
 
 #include <atomic>
@@ -63,9 +63,9 @@ class TraceRecorder {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Installs the simulation-time stamp source (e.g. a SimulationKernel's
-  /// now(), or a Federation's current grant). Pass nullptr to clear. The
-  /// callable must stay valid until replaced.
+  /// Installs the simulation-time stamp source (e.g. a Federation's current
+  /// grant). Pass nullptr to clear. The callable must stay valid until
+  /// replaced.
   void set_clock(std::function<double()> clock);
 
   /// Drops all recorded events (capacity and clock are kept).

@@ -100,8 +100,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
   std::optional<obs::ScopedRegistry> scoped_registry;
   if (options.registry != nullptr) scoped_registry.emplace(*options.registry);
   // Same injection discipline for spans and the per-LU flight recorder:
-  // install for this run, restore on exit. Threaded federation workers
-  // re-install the current thread's recorder/log inside each worker.
+  // install for this run, restore on exit.
   std::optional<obs::ScopedTraceRecorder> scoped_tracer;
   if (options.tracer != nullptr) scoped_tracer.emplace(*options.tracer);
   std::optional<obs::ScopedEventLog> scoped_event_log;
@@ -174,7 +173,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
   federation.join(mobility);
   for (const auto& filter : filters) federation.join(filter);
   federation.join(broker);
-  federation.run(0.0, options.duration, options.sample_period, options.mode);
+  federation.run(0.0, options.duration, options.sample_period);
 
   ExperimentResult result;
   result.node_count = workload.size();

@@ -98,6 +98,8 @@ struct ExperimentOptions {
   /// deployment). Each shard has its own classifier/clusterer; a node
   /// crossing shards is re-learned by the new shard. Must be >= 1.
   std::size_t adf_shards = 1;
+  /// Read by nothing: the federation has one (sequential) executor. Kept
+  /// because the lu_ledger benchmark still assigns it.
   sim::ExecutionMode mode = sim::ExecutionMode::kSequential;
   /// Telemetry registry this experiment records into. nullptr keeps the
   /// calling thread's current registry (MetricsRegistry::global() unless a
@@ -108,9 +110,8 @@ struct ExperimentOptions {
   obs::MetricsRegistry* registry = nullptr;
   /// Per-LU decision event log (flight recorder). nullptr disables capture
   /// entirely (the instrumentation costs one relaxed atomic load); non-null
-  /// installs it for this run via obs::ScopedEventLog — threaded federation
-  /// workers inherit it — and stamps the run info header. Must outlive the
-  /// run_experiment() call.
+  /// installs it for this run via obs::ScopedEventLog and stamps the run
+  /// info header. Must outlive the run_experiment() call.
   obs::EventLog* event_log = nullptr;
   /// Trace recorder for this run's spans. nullptr keeps the calling
   /// thread's current recorder (TraceRecorder::global() unless a

@@ -1,14 +1,10 @@
 #include "sim/federation.h"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 
-#include "obs/eventlog.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -116,12 +112,9 @@ void Federation::submit(Federate& sender, std::string topic, SimTime timestamp,
   interaction.timestamp = timestamp;
   interaction.sender = sender.id();
   interaction.payload = std::move(payload);
-  {
-    std::lock_guard lock(staged_mutex_);
-    interaction.sequence = federates_[sender.id().value()].send_sequence++;
-    staged_.push_back(std::move(interaction));
-    ++stats_.interactions_sent;
-  }
+  interaction.sequence = federates_[sender.id().value()].send_sequence++;
+  staged_.push_back(std::move(interaction));
+  ++stats_.interactions_sent;
   if (obs::enabled()) federation_metrics().sent.inc();
 }
 
@@ -138,7 +131,6 @@ void Federation::subscribe(Federate& subscriber, std::string topic) {
 }
 
 void Federation::merge_staged() {
-  std::lock_guard lock(staged_mutex_);
   if (staged_.empty()) return;
   pending_.insert(pending_.end(), std::make_move_iterator(staged_.begin()),
                   std::make_move_iterator(staged_.end()));
@@ -162,10 +154,7 @@ void Federation::prepare_inboxes(SimTime grant) {
   pending_.erase(pending_.begin(), due_end);
 }
 
-void Federation::run_cycle_for(FederateSlot& slot, SimTime grant,
-                               std::uint64_t* delivered_out) {
-  // Thread-safe: called concurrently by the threaded executor's workers
-  // (histogram shards + tracer handle their own synchronisation).
+void Federation::run_cycle_for(FederateSlot& slot, SimTime grant) {
   const bool instrumented = obs::enabled();
   obs::TraceRecorder& tracer = obs::current_trace_recorder();
   const bool tracing = tracer.enabled();
@@ -175,7 +164,7 @@ void Federation::run_cycle_for(FederateSlot& slot, SimTime grant,
   for (const Interaction& interaction : slot.inbox) {
     slot.federate->receive(interaction);
   }
-  *delivered_out += slot.inbox.size();
+  stats_.interactions_delivered += slot.inbox.size();
   if (instrumented) {
     federation_metrics().delivered.inc(slot.inbox.size());
   }
@@ -193,8 +182,7 @@ void Federation::run_cycle_for(FederateSlot& slot, SimTime grant,
   }
 }
 
-void Federation::run(SimTime t0, SimTime end, Duration step,
-                     ExecutionMode mode) {
+void Federation::run(SimTime t0, SimTime end, Duration step) {
   if (!(step > 0.0)) {
     throw std::invalid_argument("Federation::run: step must be > 0");
   }
@@ -215,10 +203,12 @@ void Federation::run(SimTime t0, SimTime end, Duration step,
   for (FederateSlot& slot : federates_) slot.federate->on_start(t0);
   merge_staged();
 
-  if (mode == ExecutionMode::kSequential) {
-    run_sequential(t0, cycles, step);
-  } else {
-    run_threaded(t0, cycles, step);
+  for (std::uint64_t k = 1; k <= cycles; ++k) {
+    const SimTime grant = t0 + static_cast<double>(k) * step;
+    prepare_inboxes(grant);
+    current_grant_ = grant;
+    for (FederateSlot& slot : federates_) run_cycle_for(slot, grant);
+    merge_staged();
   }
 
   for (FederateSlot& slot : federates_) slot.federate->on_stop(current_grant_);
@@ -227,96 +217,6 @@ void Federation::run(SimTime t0, SimTime end, Duration step,
   running_ = false;
   stats_.cycles += cycles;
   if (obs::enabled()) federation_metrics().cycles.inc(cycles);
-}
-
-void Federation::run_sequential(SimTime t0, std::uint64_t cycles,
-                                Duration step) {
-  for (std::uint64_t k = 1; k <= cycles; ++k) {
-    const SimTime grant = t0 + static_cast<double>(k) * step;
-    prepare_inboxes(grant);
-    current_grant_ = grant;
-    for (FederateSlot& slot : federates_) {
-      run_cycle_for(slot, grant, &stats_.interactions_delivered);
-    }
-    merge_staged();
-  }
-}
-
-void Federation::run_threaded(SimTime t0, std::uint64_t cycles,
-                              Duration step) {
-  if (federates_.empty()) return;
-  const std::size_t n = federates_.size();
-  // Two barrier phases per cycle: (a) after the coordinator prepared
-  // inboxes, workers deliver+tick; (b) after all workers finished, the
-  // coordinator merges staged sends and advances the clock.
-  std::barrier sync(static_cast<std::ptrdiff_t>(n) + 1);
-  std::atomic<SimTime> grant_time{t0};
-  std::atomic<bool> done{false};
-  // A federate callback throwing in a worker thread must reach the caller,
-  // not std::terminate: the first exception is captured, the run winds
-  // down cooperatively, and the coordinator rethrows after joining.
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_exception;
-  std::mutex exception_mutex;
-  // stats_.interactions_delivered is coordinator-only in this mode; workers
-  // accumulate their own counts and the coordinator folds them in at the end.
-  std::vector<std::uint64_t> delivered(n, 0);
-
-  // Telemetry destinations and log sim-clock are thread-scoped; workers
-  // inherit the coordinator's registry, trace recorder and event log (all
-  // per-experiment when the sweep engine injected them) and stamp their log
-  // lines with this federation's grant.
-  obs::MetricsRegistry& parent_registry = obs::current_registry();
-  obs::TraceRecorder& parent_tracer = obs::current_trace_recorder();
-  obs::EventLog* parent_event_log = obs::current_event_log();
-  std::vector<std::thread> workers;
-  workers.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers.emplace_back([this, i, &sync, &grant_time, &done, &delivered,
-                          &failed, &first_exception, &exception_mutex,
-                          &parent_registry, &parent_tracer, parent_event_log] {
-      obs::ScopedRegistry scoped_registry(parent_registry);
-      obs::ScopedTraceRecorder scoped_tracer(parent_tracer);
-      std::optional<obs::ScopedEventLog> scoped_event_log;
-      if (parent_event_log != nullptr) {
-        scoped_event_log.emplace(*parent_event_log);
-      }
-      util::Logger::instance().set_clock(
-          [&grant_time] { return grant_time.load(std::memory_order_acquire); });
-      while (true) {
-        sync.arrive_and_wait();  // wait for inboxes
-        if (done.load(std::memory_order_acquire)) return;
-        if (!failed.load(std::memory_order_acquire)) {
-          try {
-            run_cycle_for(federates_[i],
-                          grant_time.load(std::memory_order_acquire),
-                          &delivered[i]);
-          } catch (...) {
-            std::lock_guard lock(exception_mutex);
-            if (!first_exception) first_exception = std::current_exception();
-            failed.store(true, std::memory_order_release);
-          }
-        }
-        sync.arrive_and_wait();  // cycle complete
-      }
-    });
-  }
-
-  for (std::uint64_t k = 1; k <= cycles; ++k) {
-    const SimTime grant = t0 + static_cast<double>(k) * step;
-    prepare_inboxes(grant);
-    current_grant_ = grant;
-    grant_time.store(grant, std::memory_order_release);
-    sync.arrive_and_wait();  // release workers
-    sync.arrive_and_wait();  // wait for workers
-    merge_staged();
-    if (failed.load(std::memory_order_acquire)) break;
-  }
-  done.store(true, std::memory_order_release);
-  sync.arrive_and_wait();  // let workers observe `done` and exit
-  for (std::thread& t : workers) t.join();
-  for (std::uint64_t d : delivered) stats_.interactions_delivered += d;
-  if (first_exception) std::rethrow_exception(first_exception);
 }
 
 }  // namespace mgrid::sim

@@ -8,19 +8,12 @@
 // order. Interactions sent during a cycle are staged and only become
 // deliverable at the next cycle — combined with the per-federate lookahead
 // check this implements a conservative LBTS: no federate ever observes a
-// message "from the past".
-//
-// Two executors produce bit-identical results:
-//   kSequential — single thread, federates ticked in join order.
-//   kThreaded   — one worker per federate, barrier-synchronised per cycle;
-//                 outgoing interactions are staged through a mutex and
-//                 re-sorted into total order before the next delivery.
+// message "from the past". One thread runs every cycle, ticking the
+// federates in join order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,7 +25,9 @@
 
 namespace mgrid::sim {
 
-enum class ExecutionMode { kSequential, kThreaded };
+/// The only executor is sequential. The enumerator is kept because the
+/// lu_ledger benchmark assigns ExperimentOptions::mode; nothing reads it.
+enum class ExecutionMode { kSequential };
 
 /// Aggregate statistics for a completed run.
 struct FederationStats {
@@ -65,8 +60,7 @@ class Federation {
   /// Runs the federation from t0 to end with fixed time step `step` (> 0).
   /// Grant times are t0 + k*step for k = 1..N where N = round((end-t0)/step);
   /// end must be (approximately) t0 + N*step.
-  void run(SimTime t0, SimTime end, Duration step,
-           ExecutionMode mode = ExecutionMode::kSequential);
+  void run(SimTime t0, SimTime end, Duration step);
 
   [[nodiscard]] const FederationStats& stats() const noexcept {
     return stats_;
@@ -84,7 +78,7 @@ class Federation {
     obs::HistogramMetric step_seconds;
   };
 
-  /// Called by Federate::send(); thread-safe.
+  /// Called by Federate::send().
   void submit(Federate& sender, std::string topic, SimTime timestamp,
               std::shared_ptr<const InteractionPayload> payload);
   /// Called by Federate::subscribe().
@@ -94,24 +88,16 @@ class Federation {
   void merge_staged();
   /// Fills every subscriber's inbox with interactions due at `grant`.
   void prepare_inboxes(SimTime grant);
-  /// Delivers one federate's inbox and ticks it, accumulating the delivered
-  /// count into *delivered_out (callers own their counter so the threaded
-  /// executor's workers never contend on stats_).
-  void run_cycle_for(FederateSlot& slot, SimTime grant,
-                     std::uint64_t* delivered_out);
-
-  void run_sequential(SimTime t0, std::uint64_t cycles, Duration step);
-  void run_threaded(SimTime t0, std::uint64_t cycles, Duration step);
+  /// Delivers one federate's inbox and ticks it.
+  void run_cycle_for(FederateSlot& slot, SimTime grant);
 
   std::vector<FederateSlot> federates_;
   std::unordered_map<std::string, std::vector<FederateId>> subscriptions_;
 
   // Interactions ordered for delivery (sorted by InteractionOrder).
   std::vector<Interaction> pending_;
-  // Interactions sent during the current cycle (unsorted; mutex-guarded for
-  // the threaded executor).
+  // Interactions sent during the current cycle (unsorted).
   std::vector<Interaction> staged_;
-  std::mutex staged_mutex_;
 
   SimTime current_grant_ = 0.0;
   bool running_ = false;

@@ -19,8 +19,8 @@ namespace {
 void run_one_job(const SweepJob& job, const EngineOptions& engine,
                  scenario::ExperimentResult& slot, std::string* eventlog_slot) {
   // A registry per job keeps concurrent federations' telemetry disjoint;
-  // run_experiment installs it thread-wide (and threaded-federation workers
-  // inherit it), so nothing leaks into MetricsRegistry::global(). The same
+  // run_experiment installs it thread-wide, so nothing leaks into
+  // MetricsRegistry::global(). The same
   // goes for spans: a small per-job recorder (left disabled — isolation, not
   // capture) keeps concurrent jobs from interleaving into the global ring.
   obs::MetricsRegistry registry;

@@ -2,8 +2,8 @@
 //
 // Simulation components log through a process-global logger so examples can
 // turn on tracing (`log_level=debug`) without plumbing a logger handle
-// through every constructor. The logger is synchronised; the threaded
-// federation executor logs from multiple threads.
+// through every constructor. The logger is synchronised; sweep workers and
+// server threads log from multiple threads.
 #pragma once
 
 #include <functional>

@@ -68,13 +68,6 @@ TEST(Messages, WireSizesIncludeHeader) {
   EXPECT_EQ(jr.wire_bytes(), 17u + kHeaderBytes);
 }
 
-TEST(Messages, KindNames) {
-  EXPECT_EQ(to_string(MessageKind::kLocationUpdate), "location_update");
-  EXPECT_EQ(to_string(MessageKind::kKeepAlive), "keep_alive");
-  EXPECT_EQ(to_string(MessageKind::kJobAssign), "job_assign");
-  EXPECT_EQ(to_string(MessageKind::kJobResult), "job_result");
-}
-
 TEST(Traffic, RecordsTotalsPerDirection) {
   TrafficAccountant accountant;
   LocationUpdate lu(MnId{1}, {0, 0}, {0, 0}, 0.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -198,6 +199,47 @@ TEST(MetricsRegistry, EveryRegistryCarriesTheBuildInfoGauge) {
   const MetricSample* after = reset_snapshot.find("mgrid_build_info", labels);
   ASSERT_NE(after, nullptr);
   EXPECT_DOUBLE_EQ(after->value, 1.0);
+}
+
+TEST(MetricsRegistry, SnapshotsWhileWritersAreRecording) {
+  // Writers hammer a counter and a histogram from other threads while this
+  // thread takes snapshots. Snapshots must be internally consistent
+  // (monotonic counter reads) and race-free under TSan.
+  ScopedEnable on;
+  MetricsRegistry registry;
+  Counter writes = registry.counter("snapshot_race_writes_total");
+  HistogramMetric latency =
+      registry.histogram("snapshot_race_seconds", 0.0, 1.0, 20);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&stop, writes, latency]() mutable {
+      while (!stop.load(std::memory_order_acquire)) {
+        writes.inc();
+        latency.observe(0.25);
+      }
+    });
+  }
+
+  std::uint64_t last_count = 0;
+  bool monotonic = true;
+  for (int i = 0; i < 200; ++i) {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    const MetricSample* sample = snapshot.find("snapshot_race_writes_total");
+    EXPECT_NE(sample, nullptr);  // no ASSERT: the writers must be joined
+    if (sample == nullptr) break;
+    const auto count = static_cast<std::uint64_t>(sample->value);
+    if (count < last_count) monotonic = false;
+    last_count = count;
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& writer : writers) writer.join();
+
+  EXPECT_TRUE(monotonic);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                registry.snapshot().find("snapshot_race_writes_total")->value),
+            writes.value());
 }
 
 TEST(ScopedEnableTest, RestoresPreviousState) {

@@ -186,24 +186,6 @@ TEST(EventLogLifecycle, RecordsCarryPipelineDetail) {
                           }));
 }
 
-TEST(EventLogLifecycle, SequentialAndThreadedLogsAreByteIdentical) {
-  ExperimentOptions options = small_options();
-  options.duration = 25.0;
-
-  obs::EventLog sequential_log;
-  options.event_log = &sequential_log;
-  options.mode = sim::ExecutionMode::kSequential;
-  const ExperimentResult sequential = run_experiment(options);
-
-  obs::EventLog threaded_log;
-  options.event_log = &threaded_log;
-  options.mode = sim::ExecutionMode::kThreaded;
-  const ExperimentResult threaded = run_experiment(options);
-
-  EXPECT_EQ(sequential.total_transmitted, threaded.total_transmitted);
-  EXPECT_EQ(sequential_log.to_jsonl(), threaded_log.to_jsonl());
-}
-
 TEST(EventLogLifecycle, SampledLogOnlyKeepsStrideNodes) {
   ExperimentOptions options = small_options();
   options.duration = 15.0;

@@ -107,17 +107,6 @@ TEST(Experiment, DeterministicForFixedSeed) {
   EXPECT_EQ(a.lu_per_bucket, b.lu_per_bucket);
 }
 
-TEST(Experiment, ThreadedExecutorMatchesSequential) {
-  ExperimentOptions sequential = short_options();
-  ExperimentOptions threaded = short_options();
-  threaded.mode = sim::ExecutionMode::kThreaded;
-  const ExperimentResult a = run_experiment(sequential);
-  const ExperimentResult b = run_experiment(threaded);
-  EXPECT_EQ(a.total_transmitted, b.total_transmitted);
-  EXPECT_EQ(a.lu_per_bucket, b.lu_per_bucket);
-  EXPECT_DOUBLE_EQ(a.rmse_overall, b.rmse_overall);
-}
-
 TEST(Experiment, LossyChannelDropsLus) {
   ExperimentOptions options = short_options();
   options.filter = FilterKind::kIdeal;

@@ -61,18 +61,6 @@ TEST(ShardedAdf, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.rmse_overall, b.rmse_overall);
 }
 
-TEST(ShardedAdf, ThreadedExecutorMatchesSequential) {
-  // With shards the federation has 6 federates; the determinism guarantee
-  // must survive the extra parallelism.
-  ExperimentOptions sequential = sharded(4);
-  ExperimentOptions threaded = sharded(4);
-  threaded.mode = sim::ExecutionMode::kThreaded;
-  const ExperimentResult a = run_experiment(sequential);
-  const ExperimentResult b = run_experiment(threaded);
-  EXPECT_EQ(a.total_transmitted, b.total_transmitted);
-  EXPECT_DOUBLE_EQ(a.rmse_overall, b.rmse_overall);
-}
-
 TEST(ShardedAdf, WorksWithDeviceSideFiltering) {
   ExperimentOptions options = sharded(3);
   options.device_side_filtering = true;

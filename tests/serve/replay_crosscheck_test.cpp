@@ -73,7 +73,7 @@ TEST(ReplayCrossCheck, ReproducesFederationFinalPositionsWithEstimator) {
   // The recording is lossy (5%), so some attempts never reached the broker.
   EXPECT_EQ(log.lus.size(), recording.result.broker_stats.updates_received);
 
-  for (const auto [shards, sources, workers] :
+  for (const auto& [shards, sources, workers] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 1},
         {4, 8, 4}}) {
     DirectoryOptions directory_options;

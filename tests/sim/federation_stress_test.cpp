@@ -1,7 +1,7 @@
 // Federation stress / property tests: randomized topologies and message
 // loads, asserting the invariants the experiments lean on —
 // timestamp-ordered delivery, conservation (sent == delivered x fan-out for
-// due messages), and bit-identical sequential vs threaded execution.
+// due messages), and bit-identical reruns.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -76,7 +76,7 @@ struct Outcome {
   std::uint64_t total_received = 0;
 };
 
-Outcome run_topology(std::uint64_t seed, ExecutionMode mode) {
+Outcome run_topology(std::uint64_t seed) {
   util::RngStream setup(seed);
   const int federate_count = static_cast<int>(setup.uniform_int(2, 7));
   const std::vector<std::string> all_topics{"alpha", "beta", "gamma"};
@@ -95,7 +95,7 @@ Outcome run_topology(std::uint64_t seed, ExecutionMode mode) {
         lookahead));
     federation.join(federates.back());
   }
-  federation.run(0.0, 40.0, 1.0, mode);
+  federation.run(0.0, 40.0, 1.0);
 
   Outcome outcome;
   for (const auto& federate : federates) {
@@ -111,23 +111,12 @@ Outcome run_topology(std::uint64_t seed, ExecutionMode mode) {
 
 class FederationStress : public testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FederationStress, SequentialAndThreadedAgreeExactly) {
-  const Outcome sequential = run_topology(GetParam(), ExecutionMode::kSequential);
-  const Outcome threaded = run_topology(GetParam(), ExecutionMode::kThreaded);
-  EXPECT_EQ(sequential.total_sent, threaded.total_sent);
-  EXPECT_EQ(sequential.total_received, threaded.total_received);
-  ASSERT_EQ(sequential.logs.size(), threaded.logs.size());
-  for (std::size_t i = 0; i < sequential.logs.size(); ++i) {
-    EXPECT_EQ(sequential.logs[i], threaded.logs[i]) << "federate " << i;
-  }
-}
-
 TEST_P(FederationStress, TimestampsNeverRegressPerReceiver) {
   // Conservative synchronisation: once a receiver has seen a message with
   // timestamp T, it never receives one with a smaller timestamp (no
   // message from the past). Full tuples are only ordered within a grant
   // batch, so the cross-batch invariant is on timestamps.
-  const Outcome outcome = run_topology(GetParam(), ExecutionMode::kSequential);
+  const Outcome outcome = run_topology(GetParam());
   for (const auto& log : outcome.logs) {
     for (std::size_t i = 1; i < log.size(); ++i) {
       EXPECT_LE(std::get<0>(log[i - 1]), std::get<0>(log[i]))
@@ -137,8 +126,8 @@ TEST_P(FederationStress, TimestampsNeverRegressPerReceiver) {
 }
 
 TEST_P(FederationStress, RerunningIsDeterministic) {
-  const Outcome a = run_topology(GetParam(), ExecutionMode::kSequential);
-  const Outcome b = run_topology(GetParam(), ExecutionMode::kSequential);
+  const Outcome a = run_topology(GetParam());
+  const Outcome b = run_topology(GetParam());
   EXPECT_EQ(a.total_sent, b.total_sent);
   EXPECT_EQ(a.logs, b.logs);
 }

@@ -182,34 +182,9 @@ TEST(Federation, LbtsIsGrantPlusMinLookahead) {
   EXPECT_EQ(federation.lbts(), 1.0);  // before run: grant 0 + min lookahead
 }
 
-// The key determinism property: the threaded executor produces exactly the
-// same delivery sequence as the sequential one.
-TEST(Federation, ThreadedMatchesSequential) {
-  auto run_once = [](ExecutionMode mode) {
-    Federation federation;
-    auto p1 = std::make_shared<Producer>("p1", 0);
-    auto p2 = std::make_shared<Producer>("p2", 500);
-    auto recorder = std::make_shared<Recorder>();
-    federation.join(p1);
-    federation.join(p2);
-    federation.join(recorder);
-    federation.run(0.0, 20.0, 1.0, mode);
-    std::vector<std::tuple<double, unsigned, int>> log;
-    for (const Interaction& i : recorder->received_) {
-      log.emplace_back(i.timestamp, i.sender.value(),
-                       i.payload_as<IntPayload>()->value);
-    }
-    return log;
-  };
-  const auto sequential = run_once(ExecutionMode::kSequential);
-  const auto threaded = run_once(ExecutionMode::kThreaded);
-  EXPECT_FALSE(sequential.empty());
-  EXPECT_EQ(sequential, threaded);
-}
-
-TEST(Federation, ThreadedExecutorPropagatesFederateExceptions) {
-  // A federate that throws mid-run in a worker thread must surface the
-  // exception to the run() caller, not std::terminate the process.
+TEST(Federation, RunPropagatesFederateExceptions) {
+  // A federate that throws mid-run surfaces the exception to the run()
+  // caller; federates after it in join order are not ticked for that grant.
   class Bomb final : public Federate {
    public:
     Bomb() : Federate("bomb") {}
@@ -218,10 +193,11 @@ TEST(Federation, ThreadedExecutorPropagatesFederateExceptions) {
     }
   };
   Federation federation;
+  auto recorder = std::make_shared<Recorder>();
   federation.join(std::make_shared<Bomb>());
-  federation.join(std::make_shared<Recorder>());
-  EXPECT_THROW(federation.run(0.0, 10.0, 1.0, ExecutionMode::kThreaded),
-               std::runtime_error);
+  federation.join(recorder);
+  EXPECT_THROW(federation.run(0.0, 10.0, 1.0), std::runtime_error);
+  EXPECT_EQ(recorder->grants_, (std::vector<SimTime>{1.0, 2.0}));
 }
 
 TEST(Federation, ZeroCycleRunOnlyStartsAndStops) {

@@ -63,11 +63,10 @@ TEST(SweepTraceIsolation, JobsDoNotSpillSpansIntoTheGlobalRing) {
   (void)run_sweep(spec, engine);
 
   // The engine injects a per-job recorder, so even with the global recorder
-  // enabled no federation/kernel span may land in its ring.
+  // enabled no federation span may land in its ring.
   const auto events = global.events();
   for (std::size_t i = before; i < events.size(); ++i) {
     EXPECT_NE(events[i].category, "federation");
-    EXPECT_NE(events[i].category, "kernel");
   }
   global.set_enabled(false);
   global.clear();
