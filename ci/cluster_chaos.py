@@ -9,7 +9,10 @@ over loopback TCP:
 2. drive a deterministic synthetic workload through `mgrid_router`;
 3. assert the union of the shards' final states is bit-identical to the
    same workload run through a single-process `mgrid_serve mode=synthetic`,
-   and the follower's final state is bit-identical to its primary's.
+   and the follower's final state is bit-identical to its primary's;
+4. do it all twice, with each shard writing a WAL and running 1 ingest
+   worker, then 8, and assert every shard's WAL and final state are
+   byte-identical across the two runs.
 
 Chaos mode (--chaos) additionally murders a shard mid-run:
 
@@ -157,23 +160,21 @@ def entries(path):
     return doc["entries"]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--serve", required=True, help="mgrid_serve binary")
-    parser.add_argument("--router", required=True, help="mgrid_router binary")
-    parser.add_argument("--chaos", action="store_true",
-                        help="SIGKILL a shard mid-run and assert recovery")
-    parser.add_argument("--workdir", default=None)
-    args = parser.parse_args()
-    work = args.workdir or tempfile.mkdtemp(prefix="mgrid-cluster-")
+def run_cluster(args, work, workers=None):
+    """Boots the topology in `work`, drives it and checks its outputs.
+
+    With `workers` set, each shard runs that many ingest workers and writes
+    its WAL to `work`/shard<i>-wal/wal.log.
+    """
     os.makedirs(work, exist_ok=True)
-    print(f"workdir: {work}")
 
     def shard(index, port=0, admin=None):
         argv = [args.serve, "mode=shard", f"port={port}", *ESTIMATOR,
                 f"final_out={work}/shard{index}.json"]
         if admin is not None:
             argv.append(f"admin_port={admin}")
+        if workers is not None:
+            argv += [f"workers={workers}", f"wal_dir={work}/shard{index}-wal"]
         return Process(f"shard-{index}", argv, f"{work}/shard{index}.log")
 
     admin = 0 if args.chaos else None
@@ -321,6 +322,36 @@ def main():
         counts = [len(entries(f"{work}/shard{i}.json")) for i in range(3)]
         print(f"shard union {counts} bit-identical to the single-process "
               f"run ({sum(counts)} MNs)")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--serve", required=True, help="mgrid_serve binary")
+    parser.add_argument("--router", required=True, help="mgrid_router binary")
+    parser.add_argument("--chaos", action="store_true",
+                        help="SIGKILL a shard mid-run and assert recovery")
+    parser.add_argument("--workdir", default=None)
+    args = parser.parse_args()
+    work = args.workdir or tempfile.mkdtemp(prefix="mgrid-cluster-")
+    os.makedirs(work, exist_ok=True)
+    print(f"workdir: {work}")
+
+    if args.chaos:
+        run_cluster(args, work)
+    else:
+        # A shard's WAL and final state must not depend on how many ingest
+        # workers drain its queues.
+        for workers in (1, 8):
+            print(f"--- smoke with shard workers={workers}")
+            run_cluster(args, f"{work}/workers{workers}", workers)
+        for i in range(3):
+            for name in (f"shard{i}-wal/wal.log", f"shard{i}.json"):
+                if not filecmp.cmp(f"{work}/workers1/{name}",
+                                   f"{work}/workers8/{name}", shallow=False):
+                    raise SystemExit(
+                        f"{name} differs between shard workers=1 and 8")
+        print("every shard WAL and final state byte-identical at shard "
+              "workers=1 and workers=8")
     print("cluster", "chaos" if args.chaos else "smoke", "PASSED")
     return 0
 

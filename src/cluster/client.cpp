@@ -58,34 +58,41 @@ bool FrameConn::send(const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+wire::DecodeStatus FrameConn::take_buffered(wire::Message& out) {
+  const std::span<const std::uint8_t> pending{buffer_.data() + buffer_pos_,
+                                              buffer_.size() - buffer_pos_};
+  wire::Decoded decoded = wire::decode_frame(pending);
+  if (!decoded.ok()) return decoded.status;
+  out = std::move(decoded.msg);
+  buffer_pos_ += decoded.consumed;
+  if (buffer_pos_ == buffer_.size()) {
+    buffer_.clear();
+    buffer_pos_ = 0;
+  } else if (buffer_pos_ > (64 << 10)) {
+    // Compact occasionally so a long-lived stream does not grow the buffer
+    // by its consumed prefix forever.
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_pos_));
+    buffer_pos_ = 0;
+  }
+  return wire::DecodeStatus::kOk;
+}
+
+bool FrameConn::poll_message(wire::Message& out) {
+  return fd_ >= 0 && take_buffered(out) == wire::DecodeStatus::kOk;
+}
+
 bool FrameConn::recv_message(wire::Message& out) {
   if (fd_ < 0) {
     error_ = "not connected";
     return false;
   }
   for (;;) {
-    const std::span<const std::uint8_t> pending{
-        buffer_.data() + buffer_pos_, buffer_.size() - buffer_pos_};
-    wire::Decoded decoded = wire::decode_frame(pending);
-    if (decoded.ok()) {
-      out = std::move(decoded.msg);
-      buffer_pos_ += decoded.consumed;
-      if (buffer_pos_ == buffer_.size()) {
-        buffer_.clear();
-        buffer_pos_ = 0;
-      } else if (buffer_pos_ > (64 << 10)) {
-        // Compact occasionally so a long-lived stream does not grow the
-        // buffer by its consumed prefix forever.
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() +
-                          static_cast<std::ptrdiff_t>(buffer_pos_));
-        buffer_pos_ = 0;
-      }
-      return true;
-    }
-    if (decoded.status != wire::DecodeStatus::kNeedMoreData) {
+    const wire::DecodeStatus status = take_buffered(out);
+    if (status == wire::DecodeStatus::kOk) return true;
+    if (status != wire::DecodeStatus::kNeedMoreData) {
       error_ = std::string("bad frame: ") +
-               std::string(wire::to_string(decoded.status));
+               std::string(wire::to_string(status));
       close();
       return false;
     }
@@ -126,13 +133,6 @@ bool ShardClient::connect(std::string* error) {
   }
   conn_ = FrameConn(fd, options_.io_timeout_seconds);
   return true;
-}
-
-bool ShardClient::send_lus(const std::vector<wire::LuMsg>& batch) {
-  if (batch.empty()) return true;
-  scratch_.clear();
-  for (const wire::LuMsg& msg : batch) wire::encode(scratch_, msg);
-  return conn_.send(scratch_);
 }
 
 bool ShardClient::send_lus(const std::vector<BatchLu>& batch) {

@@ -65,11 +65,20 @@ class FrameConn {
   /// last_error() says why).
   bool recv_message(wire::Message& out);
 
+  /// Takes the next frame only when it is already whole in the receive
+  /// buffer; never reads the socket. Returns false when the buffer holds
+  /// no whole frame or a malformed one (recv_message() then reports it).
+  bool poll_message(wire::Message& out);
+
   [[nodiscard]] const std::string& last_error() const noexcept {
     return error_;
   }
 
  private:
+  /// Decodes the frame at the head of the receive buffer and, when whole
+  /// and well-formed, moves it to `out` and consumes it.
+  wire::DecodeStatus take_buffered(wire::Message& out);
+
   int fd_ = -1;
   bool owns_fd_ = true;
   std::vector<std::uint8_t> buffer_;
@@ -110,12 +119,10 @@ class ShardClient {
   bool connect(std::string* error = nullptr);
   void close() { conn_.close(); }
 
-  /// Forwards a batch of LUs in one send. No reply expected.
-  bool send_lus(const std::vector<wire::LuMsg>& batch);
-
-  /// Forwards a mixed traced/untraced batch in one send: traced entries go
-  /// out as kTracedLu frames stamped with one shared send_us (the batch
-  /// flushes as a unit, so one timestamp is exact for every member).
+  /// Forwards a batch of LUs in one send; no reply expected. Untraced
+  /// entries go out as kLu frames, traced ones as kTracedLu frames stamped
+  /// with one shared send_us (the batch flushes as a unit, so one timestamp
+  /// is exact for every member).
   bool send_lus(const std::vector<BatchLu>& batch);
 
   /// Tick barrier: sends kTick and blocks for the shard's kAck ("all LUs

@@ -44,39 +44,65 @@ LuServerStats LuServer::stats() const {
   return s;
 }
 
+namespace {
+
+/// Appends `msg` to `run` when it is an LU frame; false for any other frame.
+/// A traced LU's receive time is stamped once per run, on its first traced
+/// LU: every frame of a run was already in the receive buffer then.
+bool gather_lu(const wire::Message& msg, std::vector<serve::IngestLu>& run,
+               std::uint64_t& recv_us) {
+  if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
+    run.push_back({*lu, {}});
+    return true;
+  }
+  if (const auto* traced = std::get_if<wire::TracedLuMsg>(&msg)) {
+    // The network stage ends here: first point the shard owns the frame.
+    if (recv_us == 0) recv_us = obs::span_now_us();
+    serve::IngestLu& item = run.emplace_back();
+    item.msg = traced->lu;
+    item.trace.trace_id = traced->trace.trace_id;
+    item.trace.origin_us = traced->trace.origin_us;
+    item.trace.send_us = traced->trace.send_us;
+    item.trace.recv_us = recv_us;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void LuServer::serve_connection(int fd) {
   // Blocks in recv() with no timeout: stop() shuts the socket down.
   FrameConn conn(fd, 0.0, /*owns_fd=*/false);
+  std::vector<serve::IngestLu> run;
   wire::Message msg;
   while (conn.recv_message(msg)) {
-    if (!dispatch(conn, msg)) return;
+    // `msg` is the first frame of a receive; the LU frames behind it that
+    // are already buffered join its run.
+    bool have_frame = true;
+    std::uint64_t recv_us = 0;
+    while (have_frame && gather_lu(msg, run, recv_us)) {
+      have_frame = conn.poll_message(msg);
+    }
+    submit_run(run);
+    if (have_frame && !dispatch(conn, msg)) return;
   }
   if (conn.last_error().rfind("bad frame", 0) == 0) {
     bad_frames_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
+void LuServer::submit_run(std::vector<serve::IngestLu>& run) {
+  if (run.empty()) return;
+  const std::size_t accepted = hooks_.pipeline->submit_batch(run);
+  lus_.fetch_add(run.size(), std::memory_order_relaxed);
+  if (accepted < run.size()) {
+    lus_rejected_.fetch_add(run.size() - accepted, std::memory_order_relaxed);
+  }
+  run.clear();
+}
+
 bool LuServer::dispatch(FrameConn& conn, const wire::Message& msg) {
-  if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
-    lus_.fetch_add(1, std::memory_order_relaxed);
-    if (!hooks_.pipeline->submit(*lu)) {
-      lus_rejected_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
-  }
-  if (const auto* traced = std::get_if<wire::TracedLuMsg>(&msg)) {
-    lus_.fetch_add(1, std::memory_order_relaxed);
-    serve::IngestTraceContext trace;
-    trace.trace_id = traced->trace.trace_id;
-    trace.origin_us = traced->trace.origin_us;
-    trace.send_us = traced->trace.send_us;
-    // The network stage ends here: first point the shard owns the frame.
-    trace.recv_us = obs::span_now_us();
-    if (!hooks_.pipeline->submit_traced(traced->lu, trace)) {
-      lus_rejected_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
-  }
   if (const auto* tick = std::get_if<wire::TickMsg>(&msg)) {
     {
       // The single-process driver's barrier sequence, verbatim: flush (all

@@ -8,12 +8,17 @@
 // the peer disconnects, decoding frames from a buffered reader and
 // dispatching per type:
 //
-//   kLu            pipeline->submit() (no per-LU ack; queue-full rejects
+//   kLu /          gathered into a run: the LU frames already whole in the
+//   kTracedLu      receive buffer, in arrival order, up to the first other
+//                  frame or the buffer's end. The run goes to
+//                  pipeline->submit_batch() as one unit before the
+//                  connection reads the socket again or dispatches the
+//                  frame that ended it. No per-LU ack; queue-full rejects
 //                  are counted and visible in /statusz, matching the ADF
-//                  paper's fire-and-forget update model)
-//   kTracedLu      pipeline->submit_traced() with the propagated trace
-//                  context, stamping the receive time that closes the
-//                  network stage of the cluster span
+//                  paper's fire-and-forget update model. A kTracedLu keeps
+//                  its propagated trace context, stamped with the run's
+//                  receive time, which closes the network stage of the
+//                  cluster span
 //   kTick          the cluster's barrier: flush the pipeline, append the
 //                  WAL tick record, advance_estimates(t), notify the
 //                  replication hub — the exact sequence the single-process
@@ -37,6 +42,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "cluster/replication.h"
 #include "serve/directory.h"
@@ -70,7 +76,7 @@ struct LuServerHooks {
 struct LuServerStats {
   std::uint64_t connections = 0;       ///< Accepted.
   std::uint64_t rejected_busy = 0;     ///< Closed at the connection cap.
-  std::uint64_t lus = 0;               ///< kLu frames received.
+  std::uint64_t lus = 0;               ///< kLu/kTracedLu frames received.
   std::uint64_t lus_rejected = 0;      ///< submit() refused (queue full).
   std::uint64_t ticks = 0;             ///< Barriers completed.
   std::uint64_t lookups = 0;
@@ -107,7 +113,10 @@ class LuServer {
 
  private:
   void serve_connection(int fd);
-  /// Dispatches one frame; false = stop serving this connection.
+  /// Submits a run of LUs gathered from one receive buffer and clears it.
+  void submit_run(std::vector<serve::IngestLu>& run);
+  /// Dispatches one frame other than an LU; false = stop serving this
+  /// connection.
   bool dispatch(FrameConn& conn, const wire::Message& msg);
 
   LuServerOptions options_;

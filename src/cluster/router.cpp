@@ -284,7 +284,7 @@ RouterStats Router::stats() const {
 
 std::string Router::owner(std::uint32_t mn) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.owner(mn);
+  return owner_locked(mn)->config.name;
 }
 
 std::vector<std::string> Router::shard_names() const {
@@ -335,6 +335,16 @@ void Router::index_shards_locked() {
   for (const std::string& name : ring_.nodes()) {
     by_node_.push_back(find_locked(name));
   }
+  owner_cache_.assign(kOwnerCacheSlots, OwnerSlot{});
+}
+
+Router::Shard* Router::owner_locked(std::uint32_t mn) const {
+  OwnerSlot& slot = owner_cache_[mn % kOwnerCacheSlots];
+  if (slot.node == OwnerSlot::kNoOwner || slot.mn != mn) {
+    slot.mn = mn;
+    slot.node = ring_.owner_index(mn);
+  }
+  return by_node_[slot.node];
 }
 
 bool Router::send_batch_locked(Shard& shard) {

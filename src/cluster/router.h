@@ -24,6 +24,14 @@
 // router's /readyz so the chaos test can watch a SIGKILL'd shard degrade
 // the router and a restart recover it.
 //
+// Owner cache: the ring's multi-probe owner lookup costs one hash and
+// bucket scan per probe, so the router keeps a fixed, direct-mapped
+// (mn -> ring node index) cache of kOwnerCacheSlots slots in front of it.
+// Its size is constant however large MnIds grow. Node indices are only
+// valid for one ring membership, so every membership change (add_shard,
+// remove_shard, construction) clears the cache where it re-indexes the
+// shard table.
+//
 // Thread-safety: submit/flush/tick/queries serialize on one mutex (the
 // router is a single logical stream toward the shards); health state has
 // its own lock so probes never stall the data path.
@@ -102,6 +110,9 @@ struct RouterStats {
 
 class Router {
  public:
+  /// Slots of the owner cache (see the header note): 32 KB of slots.
+  static constexpr std::size_t kOwnerCacheSlots = 4096;
+
   Router(RouterOptions options, std::vector<RouterShardConfig> shards);
   ~Router();  ///< Implies stop().
 
@@ -143,7 +154,7 @@ class Router {
   [[nodiscard]] bool all_ready() const;
   [[nodiscard]] std::vector<ShardHealth> health() const;
   [[nodiscard]] RouterStats stats() const;
-  /// Owner shard name for an MN (current ring).
+  /// Owner shard name for an MN (current ring, through the owner cache).
   [[nodiscard]] std::string owner(std::uint32_t mn) const;
   [[nodiscard]] std::vector<std::string> shard_names() const;
 
@@ -166,12 +177,11 @@ class Router {
   /// way; failures count lus_dropped.
   bool send_batch_locked(Shard& shard);
   [[nodiscard]] Shard* find_locked(const std::string& name);
-  /// Rebuilds by_node_ after a ring membership change (data mutex held).
+  /// Rebuilds by_node_ and clears the owner cache after a ring membership
+  /// change (data mutex held).
   void index_shards_locked();
   /// The owner shard of `mn` (data mutex held; shards_ non-empty).
-  [[nodiscard]] Shard* owner_locked(std::uint32_t mn) const {
-    return by_node_[ring_.owner_index(mn)];
-  }
+  [[nodiscard]] Shard* owner_locked(std::uint32_t mn) const;
 
   RouterOptions options_;
 
@@ -182,6 +192,16 @@ class Router {
   /// shards_ by ring node index (the order of ring_.nodes()), so routing an
   /// LU costs no name compare.
   std::vector<Shard*> by_node_;
+  /// One owner-cache slot: `node` is a ring node index, kNoOwner when
+  /// empty.
+  struct OwnerSlot {
+    static constexpr std::uint32_t kNoOwner = 0xFFFFFFFFu;
+    std::uint32_t mn = 0;
+    std::uint32_t node = kNoOwner;
+  };
+  /// Slot mn % kOwnerCacheSlots caches the owner of the last MN routed
+  /// through it (guarded by mutex_; mutable because owner() is const).
+  mutable std::vector<OwnerSlot> owner_cache_;
 
   /// Health state (separate lock: probes must not stall submits).
   mutable std::mutex health_mutex_;

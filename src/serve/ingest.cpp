@@ -110,124 +110,240 @@ IngestPipeline::IngestPipeline(ShardedDirectory& directory,
 
 IngestPipeline::~IngestPipeline() { stop(); }
 
+namespace {
+
+/// Per-thread scratch of submit_batch(), kept across calls so that a run
+/// allocates nothing once the vectors have grown to the caller's run size.
+/// A run never nests: taps must not call back into a pipeline.
+struct RunScratch {
+  std::vector<std::uint32_t> source;  ///< Per LU of the run.
+  std::vector<bool> sampled;          ///< Per LU of the run.
+  std::vector<bool> touched_mark;     ///< Per source index.
+  std::vector<std::uint32_t> touched;  ///< Touched sources, ascending.
+  std::vector<std::size_t> depth_before;  ///< Per touched source.
+  std::vector<std::size_t> depth_after;   ///< Per touched source.
+  std::vector<std::uint32_t> accepted;  ///< Run indices, arrival order.
+  std::vector<wire::LuMsg> wal_run;     ///< The accepted LUs, for the WAL.
+  /// wal_ns of the sampled LUs the run enqueued (deque elements stay put
+  /// while the run holds their queue locks).
+  std::vector<std::uint64_t*> sampled_wal_ns;
+
+  void reset(std::size_t sources) {
+    source.clear();
+    sampled.clear();
+    touched_mark.assign(sources, false);
+    touched.clear();
+    depth_before.clear();
+    depth_after.clear();
+    accepted.clear();
+    wal_run.clear();
+    sampled_wal_ns.clear();
+  }
+};
+
+thread_local RunScratch run_scratch;
+
+}  // namespace
+
 bool IngestPipeline::submit(const wire::LuMsg& msg) {
-  return submit_internal(msg, nullptr);
+  const IngestLu item{msg, {}};
+  return submit_batch({&item, 1}) == 1;
 }
 
 bool IngestPipeline::submit_traced(const wire::LuMsg& msg,
                                    const IngestTraceContext& trace) {
-  return submit_internal(msg, trace.trace_id != 0 ? &trace : nullptr);
+  const IngestLu item{msg, trace};
+  return submit_batch({&item, 1}) == 1;
 }
 
-bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
-                                     const IngestTraceContext* trace) {
-  if (!accepting_.load(std::memory_order_acquire)) return false;
+std::size_t IngestPipeline::submit_batch(std::span<const IngestLu> run) {
+  if (run.empty() || !accepting_.load(std::memory_order_acquire)) return 0;
   const bool telemetry = obs::enabled();
-  const std::size_t source = msg.mn % queues_.size();
-  // Producer-side sampling decision: a pure function of the LU's identity,
-  // so the sampled set cannot depend on worker count or timing. An LU with
-  // a propagated context was sampled upstream and stays sampled here, so
-  // one cluster-wide decision selects every hop of the trace.
-  const bool span_sampled =
-      options_.spans != nullptr &&
-      (trace != nullptr ||
-       options_.spans->sampled(static_cast<std::uint32_t>(source), msg.mn,
-                               msg.seq));
-  SourceQueue& queue = *queues_[source];
-  std::size_t depth = 0;
-  {
-    const std::lock_guard<std::mutex> lock(queue.mutex);
-    if (options_.queue_capacity > 0 &&
-        queue.lus.size() >= options_.queue_capacity) {
-      rejected_full_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry) {
-        telemetry_->rejected_full.inc();
-        telemetry_->shed_queue_full.inc();
-      }
-      if (!shed_active_.exchange(true, std::memory_order_relaxed)) {
-        directory_.set_degraded(true);
-      }
-      return false;
+  RunScratch& scratch = run_scratch;
+  scratch.reset(queues_.size());
+  // Producer-side sampling decisions: a pure function of each LU's
+  // identity, so the sampled set cannot depend on worker count, timing or
+  // how LUs were grouped into runs. An LU with a propagated context was
+  // sampled upstream and stays sampled here, so one cluster-wide decision
+  // selects every hop of the trace.
+  bool any_sampled = false;
+  for (const IngestLu& item : run) {
+    const auto source =
+        static_cast<std::uint32_t>(item.msg.mn % queues_.size());
+    const bool sampled =
+        options_.spans != nullptr &&
+        (item.trace.trace_id != 0 ||
+         options_.spans->sampled(source, item.msg.mn, item.msg.seq));
+    any_sampled = any_sampled || sampled;
+    scratch.source.push_back(source);
+    scratch.sampled.push_back(sampled);
+    if (!scratch.touched_mark[source]) {
+      scratch.touched_mark[source] = true;
+      scratch.touched.push_back(source);
     }
-    if (queue.lus.size() >= shed_threshold_) {
-      // Overload: shed lowest-information LUs first. An MN that barely
-      // moved since its last accepted fix costs the estimator little to
-      // lose — the same displacement signal the ADF filters on.
-      const auto last = queue.last_position.find(msg.mn);
-      if (last != queue.last_position.end()) {
-        const geo::Vec2 displacement =
-            geo::Vec2{msg.x, msg.y} - last->second;
-        if (displacement.norm() < options_.shed_min_displacement) {
-          shed_low_info_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry) telemetry_->shed_low_info.inc();
-          if (!shed_active_.exchange(true, std::memory_order_relaxed)) {
-            directory_.set_degraded(true);
-          }
-          return false;
+  }
+  // Ascending lock order: concurrent runs cannot deadlock, and workers only
+  // ever hold one queue lock.
+  std::sort(scratch.touched.begin(), scratch.touched.end());
+
+  /// Holds every touched queue lock for the run; releases them on any exit.
+  class QueueLocks {
+   public:
+    QueueLocks(IngestPipeline& pipeline, const RunScratch& scratch)
+        : pipeline_(pipeline), touched_(scratch.touched) {
+      for (const std::uint32_t source : touched_) {
+        pipeline_.queues_[source]->mutex.lock();
+      }
+    }
+    ~QueueLocks() {
+      for (const std::uint32_t source : touched_) {
+        pipeline_.queues_[source]->mutex.unlock();
+      }
+    }
+    QueueLocks(const QueueLocks&) = delete;
+    QueueLocks& operator=(const QueueLocks&) = delete;
+
+   private:
+    IngestPipeline& pipeline_;
+    const std::vector<std::uint32_t>& touched_;
+  };
+
+  std::uint64_t rejected_full = 0;
+  std::uint64_t shed_low_info = 0;
+  const auto flag_degraded = [this] {
+    if (!shed_active_.exchange(true, std::memory_order_relaxed)) {
+      directory_.set_degraded(true);
+    }
+  };
+  {
+    const QueueLocks locks(*this, scratch);
+    for (const std::uint32_t source : scratch.touched) {
+      scratch.depth_before.push_back(queues_[source]->lus.size());
+    }
+    std::chrono::steady_clock::time_point enqueued{};
+    if (telemetry || any_sampled) enqueued = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const wire::LuMsg& msg = run[i].msg;
+      SourceQueue& queue = *queues_[scratch.source[i]];
+      if (options_.queue_capacity > 0 &&
+          queue.lus.size() >= options_.queue_capacity) {
+        ++rejected_full;
+        flag_degraded();
+        continue;
+      }
+      if (queue.lus.size() >= shed_threshold_) {
+        // Overload: shed lowest-information LUs first. An MN that barely
+        // moved since its last accepted fix costs the estimator little to
+        // lose — the same displacement signal the ADF filters on.
+        const auto last = queue.last_position.find(msg.mn);
+        if (last != queue.last_position.end() &&
+            (geo::Vec2{msg.x, msg.y} - last->second).norm() <
+                options_.shed_min_displacement) {
+          ++shed_low_info;
+          flag_degraded();
+          continue;
         }
       }
+      QueuedLu& item = queue.lus.emplace_back();
+      item.msg = msg;
+      item.enqueued = enqueued;
+      item.sampled = scratch.sampled[i];
+      if (run[i].trace.trace_id != 0) item.trace = run[i].trace;
+      if (item.sampled) scratch.sampled_wal_ns.push_back(&item.wal_ns);
+      if (shed_threshold_ != std::numeric_limits<std::size_t>::max()) {
+        queue.last_position[msg.mn] = geo::Vec2{msg.x, msg.y};
+      }
+      scratch.accepted.push_back(static_cast<std::uint32_t>(i));
     }
-    QueuedLu item;
-    item.msg = msg;
-    item.sampled = span_sampled;
-    if (trace != nullptr) item.trace = *trace;
-    if (telemetry || span_sampled) {
-      item.enqueued = std::chrono::steady_clock::now();
-    }
-    queue.lus.push_back(item);
-    if (shed_threshold_ != std::numeric_limits<std::size_t>::max()) {
-      queue.last_position[msg.mn] = geo::Vec2{msg.x, msg.y};
-    }
-    // WAL append inside the queue lock: the log's per-MN record order is the
-    // queue's, so serial replay reproduces exactly what the workers apply.
-    if (options_.wal != nullptr) {
-      if (span_sampled) {
-        // Carve the WAL append out of the queue-wait stage.
+    // WAL append inside the queue locks: the log's per-MN record order is
+    // the queues', so serial replay reproduces exactly what the workers
+    // apply. A sampled LU's WAL stage is its run's append, carved out of
+    // its queue-wait stage.
+    if (options_.wal != nullptr && !scratch.accepted.empty()) {
+      for (const std::uint32_t i : scratch.accepted) {
+        scratch.wal_run.push_back(run[i].msg);
+      }
+      if (scratch.sampled_wal_ns.empty()) {
+        options_.wal->append(scratch.wal_run);
+      } else {
         const auto wal_start = std::chrono::steady_clock::now();
-        options_.wal->append(msg);
-        queue.lus.back().wal_ns = static_cast<std::uint64_t>(
+        options_.wal->append(scratch.wal_run);
+        const auto wal_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - wal_start)
                 .count());
-      } else {
-        options_.wal->append(msg);
+        for (std::uint64_t* slot : scratch.sampled_wal_ns) *slot = wal_ns;
       }
     }
-    // Replication tap under the same lock: the tapped stream's per-MN order
-    // is the queue's (== the WAL's), which is what makes follower replay
-    // deterministic. Tap time lands in the span's queue stage. A traced LU
-    // prefers the trace-propagating tap so the follower joins the trace;
-    // either way every accepted LU reaches exactly one tap.
-    if (trace != nullptr && options_.traced_lu_tap) {
-      wire::TracedLuMsg traced;
-      traced.lu = msg;
-      traced.trace.trace_id = trace->trace_id;
-      traced.trace.origin_us = trace->origin_us;
-      traced.trace.send_us = trace->send_us;
-      traced.trace.parent_stage =
-          static_cast<std::uint32_t>(obs::LuStage::kVisible);
-      options_.traced_lu_tap(traced);
-    } else if (options_.lu_tap) {
-      options_.lu_tap(msg);
+    // Replication taps under the same locks: the tapped stream's per-MN
+    // order is the queues' (== the WAL's), which is what makes follower
+    // replay deterministic. Tap time lands in the span's queue stage. A
+    // traced LU prefers the trace-propagating tap so the follower joins the
+    // trace; either way every accepted LU reaches exactly one tap.
+    if (options_.traced_lu_tap || options_.lu_tap) {
+      for (const std::uint32_t i : scratch.accepted) {
+        const IngestLu& lu = run[i];
+        if (lu.trace.trace_id != 0 && options_.traced_lu_tap) {
+          wire::TracedLuMsg traced;
+          traced.lu = lu.msg;
+          traced.trace.trace_id = lu.trace.trace_id;
+          traced.trace.origin_us = lu.trace.origin_us;
+          traced.trace.send_us = lu.trace.send_us;
+          traced.trace.parent_stage =
+              static_cast<std::uint32_t>(obs::LuStage::kVisible);
+          options_.traced_lu_tap(traced);
+        } else if (options_.lu_tap) {
+          options_.lu_tap(lu.msg);
+        }
+      }
     }
-    depth = queue.lus.size();
+    for (const std::uint32_t source : scratch.touched) {
+      scratch.depth_after.push_back(queues_[source]->lus.size());
+    }
+    // Counted before the locks drop, so a worker that drains these LUs
+    // never finds pending() short of them.
+    const std::size_t accepted = scratch.accepted.size();
+    if (accepted > 0) {
+      accepted_.fetch_add(accepted, std::memory_order_relaxed);
+      pending_.fetch_add(accepted, std::memory_order_acq_rel);
+    }
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1, std::memory_order_acq_rel);
+  const std::size_t accepted = scratch.accepted.size();
+  if (rejected_full > 0) {
+    rejected_full_.fetch_add(rejected_full, std::memory_order_relaxed);
+  }
+  if (shed_low_info > 0) {
+    shed_low_info_.fetch_add(shed_low_info, std::memory_order_relaxed);
+  }
   if (telemetry) {
-    telemetry_->accepted.inc();
-    telemetry_->queue_depth[source].set(static_cast<double>(depth));
+    if (accepted > 0) telemetry_->accepted.inc(accepted);
+    if (rejected_full > 0) {
+      telemetry_->rejected_full.inc(rejected_full);
+      telemetry_->shed_queue_full.inc(rejected_full);
+    }
+    if (shed_low_info > 0) telemetry_->shed_low_info.inc(shed_low_info);
+    for (std::size_t k = 0; k < scratch.touched.size(); ++k) {
+      telemetry_->queue_depth[scratch.touched[k]].set(
+          static_cast<double>(scratch.depth_after[k]));
+    }
   }
-  // Wake the owning worker once per batch: when the queue reaches the wake
-  // depth, or when the worker is parked with no timer and this LU is the
-  // first of its queue. Taking control_mutex_ pairs with the worker's
-  // check-then-wait, so the wakeup cannot be lost.
-  WorkerSlot& slot = *slots_[source % slots_.size()];
-  if (depth == wake_depth_ || (depth == 1 && slot.parked.load())) {
-    const std::lock_guard<std::mutex> lock(control_mutex_);
-    slot.cv.notify_one();
+  // Wake each touched queue's owning worker once per run: when the run
+  // took the queue to the wake depth, or when the worker is parked with no
+  // timer and the run is the first work in the queue. Taking
+  // control_mutex_ pairs with the worker's check-then-wait, so the wakeup
+  // cannot be lost.
+  std::unique_lock<std::mutex> control(control_mutex_, std::defer_lock);
+  for (std::size_t k = 0; k < scratch.touched.size(); ++k) {
+    const std::size_t before = scratch.depth_before[k];
+    const std::size_t after = scratch.depth_after[k];
+    WorkerSlot& slot = *slots_[scratch.touched[k] % slots_.size()];
+    if ((before < wake_depth_ && after >= wake_depth_) ||
+        (before == 0 && after > 0 && slot.parked.load())) {
+      if (!control.owns_lock()) control.lock();
+      slot.cv.notify_one();
+    }
   }
-  return true;
+  return accepted;
 }
 
 void IngestPipeline::wake_all_locked() {

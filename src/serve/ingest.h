@@ -8,14 +8,29 @@
 // by destination shard and apply it under one shard lock per group, which
 // amortises locking at high rates.
 //
+// Submitting a run: submit_batch() takes a run of LUs (a shard's LuServer
+// hands it every LU frame already in its receive buffer) as one unit.
+// submit() and submit_traced() are its one-element case. A run
+//   * locks every source queue it touches, in ascending index order, and
+//     holds them until its LUs are enqueued, logged and tapped;
+//   * decides admission per LU, in arrival order, exactly as sequential
+//     submit() calls from the same queue state would;
+//   * appends the accepted LUs to the WAL under one WAL lock, then calls
+//     the replication taps, both in arrival order and under the touched
+//     queue locks — so the WAL bytes and the tapped stream are those of
+//     sequential submits;
+//   * reads the enqueue clock, adds to the counters and pending(), and
+//     records telemetry once per run rather than once per LU.
+//
 // Wake policy: a worker costs one wake per drained batch, not one per LU.
-// A submit wakes its queue's owning worker only when the queue reaches
-// wake_depth = min(batch_size, shed threshold, queue_capacity) — the last
-// two only when set — or when it lands in an empty queue of a worker that
-// is parked with no work at all. Each worker has its own condition
-// variable. A worker drains full queues as soon as it sees them; a queue
-// holding a partial batch is drained at most kMaxLinger after the worker
-// first sees it, so visibility, pending() and the update-latency SLI stay
+// The wake rule is checked once per run for each source it touched: the
+// owning worker is woken when the run takes the queue to wake_depth =
+// min(batch_size, shed threshold, queue_capacity) — the last two only when
+// set — or when the run lands in an empty queue of a worker that is parked
+// with no work at all. Each worker has its own condition variable. A
+// worker drains full queues as soon as it sees them; a queue holding a
+// partial batch is drained at most kMaxLinger after the worker first sees
+// it, so visibility, pending() and the update-latency SLI stay
 // bounded when no flush comes. A worker with empty queues parks with no
 // timer. flush(), stop() and resume() wake every worker, and their drains
 // take partial batches too.
@@ -37,14 +52,15 @@
 // disabled cost per submit is one relaxed atomic load.
 //
 // Latency attribution (options.spans): deterministically sampled LUs carry
-// a per-stage span — source-queue wait, WAL (append plus the batch's
-// write), directory apply, visible-to-lookup — recorded into an
+// a per-stage span — source-queue wait, WAL (its run's append plus the
+// batch's write), directory apply, visible-to-lookup — recorded into an
 // obs::SpanTracer under the "update_latency" SLI. Sampling is a hash of
-// (source, mn, seq), so any worker count selects the byte-identical span
-// set. The stage values tile the span: their sum equals its total exactly.
-// LUs submitted through submit_traced() arrived with a cluster trace
-// context: they keep the upstream trace id and additionally carry the
-// router-batch and network stages computed from the propagated timestamps.
+// (source, mn, seq), so any worker count and any grouping into runs select
+// the byte-identical span set. The stage values tile the span: their sum
+// equals its total exactly. LUs submitted with a trace context
+// (IngestLu::trace, submit_traced()) arrived from a traced cluster hop:
+// they keep the upstream trace id and additionally carry the router-batch
+// and network stages computed from the propagated timestamps.
 #pragma once
 
 #include <atomic>
@@ -55,6 +71,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -109,11 +126,12 @@ struct IngestOptions {
   /// is disabled: one relaxed atomic load per submit.
   obs::SpanTracer* spans = nullptr;
   /// Replication tap: called for every *accepted* LU under the source-queue
-  /// lock, right after the WAL append — the tap sees the exact per-MN
-  /// record order the WAL and the workers see, so a follower replaying the
-  /// tapped stream serially reaches the same directory state (see
-  /// cluster/replication.h). Must be fast (buffer, don't block on I/O) and
-  /// must not call back into the pipeline. Empty = disabled.
+  /// lock, right after the WAL append of its run, in arrival order — the
+  /// tap sees the exact record order the WAL and the workers see, so a
+  /// follower replaying the tapped stream serially reaches the same
+  /// directory state (see cluster/replication.h). Must be fast (buffer,
+  /// don't block on I/O) and must not call back into the pipeline. Empty =
+  /// disabled.
   std::function<void(const wire::LuMsg&)> lu_tap;
   /// Trace-propagating replication tap: called INSTEAD of lu_tap for LUs
   /// submitted with an upstream trace context, carrying the trace id so
@@ -132,6 +150,13 @@ struct IngestTraceContext {
   std::uint64_t origin_us = 0;  ///< router accepted the LU
   std::uint64_t send_us = 0;    ///< router flushed the batch
   std::uint64_t recv_us = 0;    ///< shard decoded the frame
+};
+
+/// One LU of a submitted run, with its upstream context (trace.trace_id == 0
+/// when it arrived untraced).
+struct IngestLu {
+  wire::LuMsg msg;
+  IngestTraceContext trace;
 };
 
 struct IngestStats {
@@ -157,14 +182,19 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
+  /// Enqueues a run of LUs as one unit (see "Submitting a run" above) and
+  /// returns how many were accepted. An LU with a trace context is
+  /// force-sampled under the propagated trace id (options.spans
+  /// permitting), and its span includes the router-batch and network
+  /// stages computed from the context's timestamps. Thread-safe.
+  std::size_t submit_batch(std::span<const IngestLu> run);
+
   /// Enqueues one LU. Returns false (and counts rejected_full) when the
   /// source queue is at capacity. Thread-safe.
   bool submit(const wire::LuMsg& msg);
 
-  /// Enqueues one LU that carries an upstream trace context: the LU is
-  /// force-sampled under the propagated trace id (options.spans permitting)
-  /// and its span includes the router-batch and network stages computed
-  /// from the context's timestamps. Same admission behavior as submit().
+  /// Enqueues one LU that carries an upstream trace context. Same
+  /// admission behavior as submit().
   bool submit_traced(const wire::LuMsg& msg,
                      const IngestTraceContext& trace);
 
@@ -242,8 +272,6 @@ class IngestPipeline {
 
   struct Telemetry;  // registry handles, resolved once at construction
 
-  bool submit_internal(const wire::LuMsg& msg,
-                       const IngestTraceContext* trace);
   void worker_main(std::size_t worker_id);
   /// Parks `worker_id` until it has work to drain and says what the drain
   /// takes. Called with control_mutex_ held (via `lock`).

@@ -216,22 +216,26 @@ WalWriter::~WalWriter() {
 }
 
 template <typename Msg>
-std::size_t WalWriter::buffer_record(const Msg& msg) {
+std::size_t WalWriter::buffer_records(std::span<const Msg> msgs) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (failed_) return 0;
-  // Encode straight into the pending buffer behind a 4-byte CRC slot: no
-  // allocation once the buffer has grown to its working size.
-  const std::size_t start = pending_.size();
-  pending_.resize(start + 4);
-  const std::size_t frame_bytes = wire::encode(pending_, msg);
-  put_u32_le(pending_.data() + start,
-             crc32c(pending_.data() + start + 4, frame_bytes));
-  records_ += 1;
-  bytes_ += 4 + frame_bytes;
+  // Encode straight into the pending buffer, each frame behind a 4-byte CRC
+  // slot: no allocation once the buffer has grown to its working size.
+  std::size_t added = 0;
+  for (const Msg& msg : msgs) {
+    const std::size_t start = pending_.size();
+    pending_.resize(start + 4);
+    const std::size_t frame_bytes = wire::encode(pending_, msg);
+    put_u32_le(pending_.data() + start,
+               crc32c(pending_.data() + start + 4, frame_bytes));
+    added += 4 + frame_bytes;
+  }
+  records_ += msgs.size();
+  bytes_ += added;
   if (obs::enabled()) {
     WalMetrics& metrics = wal_metrics();
-    metrics.records.inc();
-    metrics.bytes.inc(4 + frame_bytes);
+    metrics.records.inc(msgs.size());
+    metrics.bytes.inc(added);
   }
   return pending_.size();
 }
@@ -257,16 +261,27 @@ bool WalWriter::commit(bool fsync) {
   return ok;
 }
 
-bool WalWriter::append(const wire::LuMsg& msg) {
-  const std::size_t pending = buffer_record(msg);
+bool WalWriter::append(std::span<const wire::LuMsg> msgs) {
+  if (msgs.empty()) return !failed();
+  if (policy_ == FsyncPolicy::kEveryRecord) {
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      if (buffer_records(msgs.subspan(i, 1)) == 0 || !commit(true)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  const std::size_t pending = buffer_records(msgs);
   if (pending == 0) return false;
-  if (policy_ == FsyncPolicy::kEveryRecord) return commit(true);
   if (pending >= kWalMaxPendingBytes) return write_pending();
   return true;
 }
 
 bool WalWriter::append_tick(double t, std::uint64_t tick) {
-  if (buffer_record(wire::TickMsg{t, tick}) == 0) return false;
+  const wire::TickMsg record{t, tick};
+  if (buffer_records(std::span<const wire::TickMsg>(&record, 1)) == 0) {
+    return false;
+  }
   return commit(policy_ != FsyncPolicy::kNever);
 }
 

@@ -14,8 +14,9 @@
 // where the frame is a kLu or kTick message exactly as it would travel on
 // the wire (wire.h). The CRC covers the whole frame including its header.
 //
-// Group commit: append() only encodes its record into an in-memory pending
-// buffer. The buffer reaches the file in one write(2) when
+// Group commit: append() only encodes its records into an in-memory
+// pending buffer, a whole run of LUs under one lock. The buffer reaches
+// the file in one write(2) when
 //   * write_pending() is called — the ingest workers call it once per
 //     drained batch, before the batch becomes visible in the directory;
 //   * append_tick() writes a barrier (before its fsync);
@@ -36,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,9 +87,13 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Buffers one LU record. Returns false once the WAL has failed (the WAL
-  /// is then considered broken; subsequent appends also fail).
-  bool append(const wire::LuMsg& msg);
+  /// Buffers one LU record per message, in order, under one lock (with
+  /// kEveryRecord each record is still written and fsynced on its own).
+  /// Returns false once the WAL has failed (the WAL is then considered
+  /// broken; subsequent appends also fail).
+  bool append(std::span<const wire::LuMsg> msgs);
+  /// append() of one LU record.
+  bool append(const wire::LuMsg& msg) { return append({&msg, 1}); }
   /// Appends one tick-barrier record and writes the buffer; fsyncs unless
   /// the policy is kNever.
   bool append_tick(double t, std::uint64_t tick);
@@ -112,10 +118,10 @@ class WalWriter {
   [[nodiscard]] FsyncPolicy policy() const noexcept { return policy_; }
 
  private:
-  /// Encodes `msg` into pending_ behind its CRC; returns the pending size
-  /// afterwards (0 when the WAL has failed).
+  /// Encodes each of `msgs` into pending_ behind its CRC; returns the
+  /// pending size afterwards (0 when the WAL has failed).
   template <typename Msg>
-  std::size_t buffer_record(const Msg& msg);
+  std::size_t buffer_records(std::span<const Msg> msgs);
   /// Writes the pending buffer, then fsyncs when `fsync`; under io_mutex_.
   bool commit(bool fsync);
 

@@ -1,76 +1,93 @@
 #include "serve/wire.h"
 
 #include <bit>
+#include <cstring>
 
 namespace mgrid::serve::wire {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+// Fixed-offset little-endian stores and loads of unsigned integers: one
+// unaligned move on a little-endian host, a byte loop elsewhere.
+template <typename T>
+void store_le(std::uint8_t* out, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof(v));
+  } else {
+    for (std::size_t i = 0; i < sizeof(v); ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+template <typename T>
+T load_le(const std::uint8_t* in) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, in, sizeof(v));
+  } else {
+    for (std::size_t i = sizeof(v); i-- > 0;) {
+      v = static_cast<T>((v << 8) | in[i]);
+    }
   }
+  return v;
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+void store_u32(std::uint8_t* out, std::uint32_t v) { store_le(out, v); }
+void store_u64(std::uint8_t* out, std::uint64_t v) { store_le(out, v); }
+void store_f64(std::uint8_t* out, double v) {
+  store_le(out, std::bit_cast<std::uint64_t>(v));
 }
 
 std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint16_t>(in[at] |
-                                    (static_cast<std::uint16_t>(in[at + 1])
-                                     << 8));
+  return load_le<std::uint16_t>(in.data() + at);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | in[at + static_cast<std::size_t>(i)];
-  }
-  return v;
+  return load_le<std::uint32_t>(in.data() + at);
 }
 
 std::uint64_t get_u64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | in[at + static_cast<std::size_t>(i)];
-  }
-  return v;
+  return load_le<std::uint64_t>(in.data() + at);
 }
 
 double get_f64(std::span<const std::uint8_t> in, std::size_t at) {
   return std::bit_cast<double>(get_u64(in, at));
 }
 
-std::size_t begin_frame(std::vector<std::uint8_t>& out, MsgType type) {
+/// Grows `out` by one whole frame in a single resize, writes its header and
+/// returns the payload, zero-filled so pad bytes need no stores.
+std::uint8_t* begin_frame(std::vector<std::uint8_t>& out, MsgType type,
+                          std::size_t payload_len) {
   const std::size_t start = out.size();
-  put_u16(out, kMagic);
-  out.push_back(type == MsgType::kTracedLu ? kTracedVersion : kVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload_size(type)));
-  return start;
+  out.resize(start + kHeaderBytes + payload_len);
+  std::uint8_t* frame = out.data() + start;
+  store_le(frame, kMagic);
+  frame[2] = type == MsgType::kTracedLu ? kTracedVersion : kVersion;
+  frame[3] = static_cast<std::uint8_t>(type);
+  store_u32(frame + 4, static_cast<std::uint32_t>(payload_len));
+  return frame + kHeaderBytes;
 }
 
-void put_lu_payload(std::vector<std::uint8_t>& out, const LuMsg& msg) {
-  put_u32(out, msg.mn);
-  put_u32(out, msg.seq);
-  put_f64(out, msg.t);
-  put_f64(out, msg.x);
-  put_f64(out, msg.y);
-  put_f64(out, msg.vx);
-  put_f64(out, msg.vy);
-  put_f64(out, msg.battery);
+/// begin_frame() for a fixed-size type.
+std::uint8_t* begin_frame(std::vector<std::uint8_t>& out, MsgType type) {
+  return begin_frame(out, type, payload_size(type));
+}
+
+/// Size of an encoded fixed-size frame of `type`.
+std::size_t frame_size(MsgType type) {
+  return kHeaderBytes + payload_size(type);
+}
+
+void put_lu_payload(std::uint8_t* out, const LuMsg& msg) {
+  store_u32(out, msg.mn);
+  store_u32(out + 4, msg.seq);
+  store_f64(out + 8, msg.t);
+  store_f64(out + 16, msg.x);
+  store_f64(out + 24, msg.y);
+  store_f64(out + 32, msg.vx);
+  store_f64(out + 40, msg.vy);
+  store_f64(out + 48, msg.battery);
 }
 
 LuMsg get_lu_payload(std::span<const std::uint8_t> in, std::size_t at) {
@@ -171,124 +188,111 @@ std::size_t payload_size(MsgType type) noexcept {
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const LuMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kLu);
-  put_lu_payload(out, msg);
-  return out.size() - start;
+  put_lu_payload(begin_frame(out, MsgType::kLu), msg);
+  return frame_size(MsgType::kLu);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const TracedLuMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kTracedLu);
-  put_lu_payload(out, msg.lu);
-  put_u64(out, msg.trace.trace_id);
-  put_u64(out, msg.trace.origin_us);
-  put_u64(out, msg.trace.send_us);
-  put_u32(out, msg.trace.parent_stage);
-  put_u32(out, 0);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kTracedLu);
+  put_lu_payload(p, msg.lu);
+  store_u64(p + 56, msg.trace.trace_id);
+  store_u64(p + 64, msg.trace.origin_us);
+  store_u64(p + 72, msg.trace.send_us);
+  store_u32(p + 80, msg.trace.parent_stage);
+  return frame_size(MsgType::kTracedLu);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const AckMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kAck);
-  put_u32(out, msg.mn);
-  out.push_back(static_cast<std::uint8_t>(msg.status));
-  out.push_back(0);
-  out.push_back(0);
-  out.push_back(0);
-  put_f64(out, msg.t);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kAck);
+  store_u32(p, msg.mn);
+  p[4] = static_cast<std::uint8_t>(msg.status);
+  store_f64(p + 8, msg.t);
+  return frame_size(MsgType::kAck);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const LookupMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kLookup);
-  put_u32(out, msg.mn);
-  put_u32(out, 0);
-  put_f64(out, msg.t);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kLookup);
+  store_u32(p, msg.mn);
+  store_f64(p + 8, msg.t);
+  return frame_size(MsgType::kLookup);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const LookupReplyMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kLookupReply);
-  put_u32(out, msg.mn);
-  out.push_back(msg.found ? 1 : 0);
-  out.push_back(msg.estimated ? 1 : 0);
-  out.push_back(0);
-  out.push_back(0);
-  put_f64(out, msg.t);
-  put_f64(out, msg.x);
-  put_f64(out, msg.y);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kLookupReply);
+  store_u32(p, msg.mn);
+  p[4] = msg.found ? 1 : 0;
+  p[5] = msg.estimated ? 1 : 0;
+  store_f64(p + 8, msg.t);
+  store_f64(p + 16, msg.x);
+  store_f64(p + 24, msg.y);
+  return frame_size(MsgType::kLookupReply);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const RegionQueryMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kRegionQuery);
-  put_f64(out, msg.x);
-  put_f64(out, msg.y);
-  put_f64(out, msg.radius);
-  put_u32(out, msg.max_results);
-  put_u32(out, 0);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kRegionQuery);
+  store_f64(p, msg.x);
+  store_f64(p + 8, msg.y);
+  store_f64(p + 16, msg.radius);
+  store_u32(p + 24, msg.max_results);
+  return frame_size(MsgType::kRegionQuery);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out,
                    const NearestQueryMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kNearestQuery);
-  put_f64(out, msg.x);
-  put_f64(out, msg.y);
-  put_u32(out, msg.k);
-  put_u32(out, 0);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kNearestQuery);
+  store_f64(p, msg.x);
+  store_f64(p + 8, msg.y);
+  store_u32(p + 16, msg.k);
+  return frame_size(MsgType::kNearestQuery);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const TickMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kTick);
-  put_f64(out, msg.t);
-  put_u64(out, msg.tick);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kTick);
+  store_f64(p, msg.t);
+  store_u64(p + 8, msg.tick);
+  return frame_size(MsgType::kTick);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const NeighborMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kNeighbor);
-  put_u32(out, msg.mn);
-  put_u32(out, 0);
-  put_f64(out, msg.distance);
-  put_f64(out, msg.x);
-  put_f64(out, msg.y);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kNeighbor);
+  store_u32(p, msg.mn);
+  store_f64(p + 8, msg.distance);
+  store_f64(p + 16, msg.x);
+  store_f64(p + 24, msg.y);
+  return frame_size(MsgType::kNeighbor);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const QueryDoneMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kQueryDone);
-  put_u32(out, msg.count);
-  put_u32(out, 0);
-  put_f64(out, msg.t);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kQueryDone);
+  store_u32(p, msg.count);
+  store_f64(p + 8, msg.t);
+  return frame_size(MsgType::kQueryDone);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const SubscribeMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kSubscribe);
-  put_u64(out, msg.from_record);
-  put_u64(out, msg.flags);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kSubscribe);
+  store_u64(p, msg.from_record);
+  store_u64(p + 8, msg.flags);
+  return frame_size(MsgType::kSubscribe);
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out,
                    const SnapshotChunkMsg& msg) {
   if (msg.bytes.size() > kMaxChunkBytes) return 0;
-  const std::size_t start = out.size();
-  put_u16(out, kMagic);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(MsgType::kSnapshotChunk));
-  put_u32(out, static_cast<std::uint32_t>(msg.bytes.size()));
-  out.insert(out.end(), msg.bytes.begin(), msg.bytes.end());
-  return out.size() - start;
+  std::uint8_t* p =
+      begin_frame(out, MsgType::kSnapshotChunk, msg.bytes.size());
+  if (!msg.bytes.empty()) {
+    std::memcpy(p, msg.bytes.data(), msg.bytes.size());
+  }
+  return kHeaderBytes + msg.bytes.size();
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out,
                    const SnapshotDoneMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kSnapshotDone);
-  put_u64(out, msg.total_bytes);
-  put_u64(out, msg.wal_records);
-  return out.size() - start;
+  std::uint8_t* p = begin_frame(out, MsgType::kSnapshotDone);
+  store_u64(p, msg.total_bytes);
+  store_u64(p + 8, msg.wal_records);
+  return frame_size(MsgType::kSnapshotDone);
 }
 
 Decoded decode_frame(std::span<const std::uint8_t> buffer) {

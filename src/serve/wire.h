@@ -50,6 +50,11 @@
 //                               then trace_id u64, origin_us u64,
 //                               send_us u64, parent_stage u32, pad u32
 //
+// encode() appends one whole frame: it grows the buffer once by the
+// frame's size and writes each field with a fixed-offset little-endian
+// store, pad bytes left zero. The bytes are those of the layouts above on
+// any host (tests/serve/wire_test.cpp pins one frame per type).
+//
 // decode_frame() never throws on hostile bytes: it returns a typed status
 // (bad magic / version / type / length, or "need more data" for a prefix of
 // a valid frame) so a network reader can resynchronise or disconnect.

@@ -194,6 +194,15 @@ void Federation::run(SimTime t0, SimTime end, Duration step) {
         "Federation::run: (end - t0) must be an integer multiple of step");
   }
   running_ = true;
+  // However the run ends — completion or a federate's exception — the
+  // federation is left joinable and runnable, with no half-delivered inbox.
+  struct EndRun {
+    Federation& federation;
+    ~EndRun() {
+      federation.running_ = false;
+      for (FederateSlot& slot : federation.federates_) slot.inbox.clear();
+    }
+  } end_run{*this};
   current_grant_ = t0;
   // While the run is in flight, log lines and trace events carry the
   // federation grant time as their sim timestamp.
@@ -214,7 +223,6 @@ void Federation::run(SimTime t0, SimTime end, Duration step) {
   for (FederateSlot& slot : federates_) slot.federate->on_stop(current_grant_);
   util::log_debug("federation: run complete, ",
                   stats_.interactions_delivered, " interactions delivered");
-  running_ = false;
   stats_.cycles += cycles;
   if (obs::enabled()) federation_metrics().cycles.inc(cycles);
 }

@@ -14,10 +14,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "cluster/client.h"
+#include "cluster/router.h"
 #include "estimation/estimator.h"
+#include "obs/span.h"
 #include "serve/directory.h"
 #include "serve/ingest.h"
 #include "serve/wal.h"
@@ -95,6 +98,17 @@ struct ShardUnderTest {
   }
 };
 
+/// The wire frame of a WAL record (an LU or a tick).
+std::vector<std::uint8_t> wal_frame(const wire::Message& record) {
+  std::vector<std::uint8_t> frame;
+  if (const auto* lu = std::get_if<wire::LuMsg>(&record)) {
+    wire::encode(frame, *lu);
+  } else if (const auto* tick = std::get_if<wire::TickMsg>(&record)) {
+    wire::encode(frame, *tick);
+  }
+  return frame;
+}
+
 ShardClient make_client(const ShardUnderTest& shard) {
   ShardClientOptions options;
   options.name = "test-shard";
@@ -124,10 +138,10 @@ TEST(LuServer, StreamedTicksMatchLocalPipelineBitExact) {
   constexpr std::uint64_t kTicks = 10;
   std::uint64_t lus = 0;
   for (std::uint64_t k = 1; k <= kTicks; ++k) {
-    std::vector<wire::LuMsg> batch;
+    std::vector<BatchLu> batch;
     for (std::uint32_t mn = 0; mn < kNodes; ++mn) {
       if (mn == 0 && k % 2 == 1) continue;
-      batch.push_back(walk_lu(mn, k));
+      batch.push_back({walk_lu(mn, k)});
       ASSERT_TRUE(local.submit(walk_lu(mn, k)));
     }
     lus += batch.size();
@@ -153,14 +167,88 @@ TEST(LuServer, StreamedTicksMatchLocalPipelineBitExact) {
   fs::remove_all(wal_dir);
 }
 
+TEST(LuServer, WalFollowsTheRoutersSendOrderTicksIncluded) {
+  // Two WAL'd shards behind a router that batches 16 LUs per send and
+  // traces one LU in four, so a shard receives runs that mix kLu and
+  // kTracedLu frames and end at ticks. Each shard's WAL must hold exactly
+  // the LUs the router routed to it, in submission order, each tick's
+  // records closed by that tick's barrier.
+  const fs::path wal_dir =
+      fs::temp_directory_path() / "mgrid_lu_server_wal_order_test";
+  fs::remove_all(wal_dir);
+  fs::create_directories(wal_dir);
+  const std::vector<std::string> names = {"a", "b"};
+  std::vector<std::unique_ptr<serve::WalWriter>> wals;
+  std::vector<std::unique_ptr<ShardUnderTest>> shards;
+  std::vector<RouterShardConfig> configs;
+  for (const std::string& name : names) {
+    wals.push_back(std::make_unique<serve::WalWriter>(
+        (wal_dir / (name + ".log")).string(), serve::FsyncPolicy::kNever));
+    shards.push_back(std::make_unique<ShardUnderTest>(wals.back().get()));
+    RouterShardConfig config;
+    config.name = name;
+    config.lu_port = shards.back()->server->port();
+    configs.push_back(config);
+  }
+  obs::SpanTracerOptions span_options;
+  span_options.sample_period = 4;
+  span_options.emit_trace_events = false;
+  obs::SpanTracer tracer(span_options);
+  tracer.set_enabled(true);
+  RouterOptions options;
+  options.health_period_seconds = 0.0;
+  options.batch_size = 16;
+  options.spans = &tracer;
+  Router router(options, configs);
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  constexpr std::uint32_t kNodes = 50;
+  constexpr std::uint64_t kTicks = 6;
+  std::vector<std::vector<wire::Message>> want(names.size());
+  for (std::uint64_t k = 1; k <= kTicks; ++k) {
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      // A different MN order every tick, so runs cross source queues.
+      const std::uint32_t mn =
+          static_cast<std::uint32_t>((i * 17 + k * 11) % kNodes);
+      const wire::LuMsg lu = walk_lu(mn, k);
+      ASSERT_TRUE(router.submit(lu));
+      const std::string owner = router.owner(mn);
+      want[owner == "a" ? 0 : 1].push_back(lu);
+    }
+    ASSERT_TRUE(router.tick(static_cast<double>(k), k));
+    for (auto& records : want) {
+      records.push_back(wire::TickMsg{static_cast<double>(k), k});
+    }
+  }
+  router.stop();
+  for (std::size_t s = 0; s < names.size(); ++s) {
+    SCOPED_TRACE("shard " + names[s]);
+    shards[s].reset();
+    ASSERT_TRUE(wals[s]->sync());
+    const serve::WalReadResult read = serve::read_wal(wals[s]->path());
+    EXPECT_EQ(read.status, serve::WalReadStatus::kEnd);
+    ASSERT_EQ(read.records.size(), want[s].size());
+    for (std::size_t r = 0; r < want[s].size(); ++r) {
+      ASSERT_EQ(wal_frame(read.records[r]), wal_frame(want[s][r]))
+          << "record " << r;
+    }
+  }
+  EXPECT_GT(want[0].size(), kTicks);
+  EXPECT_GT(want[1].size(), kTicks);
+  fs::remove_all(wal_dir);
+}
+
 TEST(LuServer, LookupRepliesMirrorTheDirectory) {
   ShardUnderTest shard;
   ShardClient client = make_client(shard);
   ASSERT_TRUE(client.connect());
 
   for (std::uint64_t k = 1; k <= 4; ++k) {
-    std::vector<wire::LuMsg> batch;
-    for (std::uint32_t mn = 0; mn < 3; ++mn) batch.push_back(walk_lu(mn, k));
+    std::vector<BatchLu> batch;
+    for (std::uint32_t mn = 0; mn < 3; ++mn) {
+      batch.push_back({walk_lu(mn, k)});
+    }
     ASSERT_TRUE(client.send_lus(batch));
     ASSERT_TRUE(client.tick(static_cast<double>(k), k));
   }
@@ -200,8 +288,10 @@ TEST(LuServer, SpatialQueriesMirrorTheDirectory) {
   ASSERT_TRUE(client.connect());
 
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    std::vector<wire::LuMsg> batch;
-    for (std::uint32_t mn = 0; mn < 8; ++mn) batch.push_back(walk_lu(mn, k));
+    std::vector<BatchLu> batch;
+    for (std::uint32_t mn = 0; mn < 8; ++mn) {
+      batch.push_back({walk_lu(mn, k)});
+    }
     ASSERT_TRUE(client.send_lus(batch));
     ASSERT_TRUE(client.tick(static_cast<double>(k), k));
   }
@@ -254,7 +344,7 @@ TEST(LuServer, GarbageBytesDropTheConnectionNotTheServer) {
   // The server survived: a well-formed client still gets service.
   ShardClient client = make_client(shard);
   ASSERT_TRUE(client.connect(&error)) << error;
-  ASSERT_TRUE(client.send_lus({walk_lu(5, 1)}));
+  ASSERT_TRUE(client.send_lus({{walk_lu(5, 1)}}));
   ASSERT_TRUE(client.tick(1.0, 1));
   const auto reply = client.lookup(5, 1.0);
   ASSERT_TRUE(reply.has_value());
@@ -279,7 +369,7 @@ TEST(LuServer, IdleConnectionsDoNotDelayTheRouter) {
   ShardClient client(options);
   const auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(client.connect());
-  ASSERT_TRUE(client.send_lus({walk_lu(3, 1)}));
+  ASSERT_TRUE(client.send_lus({{walk_lu(3, 1)}}));
   ASSERT_TRUE(client.tick(1.0, 1));
   const auto reply = client.lookup(3, 1.0);
   ASSERT_TRUE(reply.has_value());
@@ -315,7 +405,7 @@ bool served_after_fd_exhaustion() {
   for (const int fd : hog) ::close(fd);
 
   ShardClient second(options);
-  return second.connect() && second.send_lus({walk_lu(2, 1)}) &&
+  return second.connect() && second.send_lus({{walk_lu(2, 1)}}) &&
          second.tick(1.0, 1) && second.lookup(2, 1.0).has_value();
 }
 

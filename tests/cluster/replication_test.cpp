@@ -119,10 +119,10 @@ bool eventually(Predicate predicate, double timeout_seconds = 10.0) {
 void drive_ticks(ShardClient& client, std::uint64_t first, std::uint64_t last,
                  std::uint32_t nodes) {
   for (std::uint64_t k = first; k <= last; ++k) {
-    std::vector<wire::LuMsg> batch;
+    std::vector<BatchLu> batch;
     for (std::uint32_t mn = 0; mn < nodes; ++mn) {
       if (mn == 0 && k % 2 == 1) continue;
-      batch.push_back(walk_lu(mn, k));
+      batch.push_back({walk_lu(mn, k)});
     }
     ASSERT_TRUE(client.send_lus(batch));
     ASSERT_TRUE(client.tick(static_cast<double>(k), k));

@@ -17,6 +17,7 @@
 #include "serve/ingest.h"
 #include "serve/wire.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace mgrid::cluster {
 namespace {
@@ -291,6 +292,68 @@ TEST(RouterMembership, RemoveShardShrinksTheRing) {
   for (std::uint32_t mn = 0; mn < 100; ++mn) {
     EXPECT_EQ(router.owner(mn), "a");
   }
+  router.stop();
+}
+
+TEST(RouterMembership, CachedOwnersMatchTheRingAcrossMembershipChanges) {
+  // The router routes through its owner cache; the ring is the reference.
+  // Each phase first re-asks the keys the cache holds from the phase
+  // before, so an owner cached across a membership change would show, then
+  // walks every MN that shares one cache slot, then a long random stream
+  // whose keys collide in the cache by chance.
+  ShardNode a;
+  ShardNode b;
+  ShardNode c;
+  RouterOptions options;
+  options.health_period_seconds = 0.0;
+  std::vector<RouterShardConfig> configs(2);
+  configs[0].name = "a";
+  configs[0].lu_port = a.server->port();
+  configs[1].name = "b";
+  configs[1].lu_port = b.server->port();
+  Router router(options, configs);
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+  HashRing ring(RingOptions{options.vnodes, options.probes});
+  ring.add_node("a");
+  ring.add_node("b");
+
+  constexpr std::size_t kKeysPerPhase = 400'000;
+  std::vector<std::uint32_t> recent;  // the last keys of the phase before
+  std::uint64_t state = 0x5EED;
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](std::uint32_t mn) {
+    ++checked;
+    if (router.owner(mn) != ring.owner(mn)) ++mismatches;
+  };
+  const auto phase = [&] {
+    for (auto it = recent.rbegin(); it != recent.rend(); ++it) check(*it);
+    recent.clear();
+    constexpr auto kSlots =
+        static_cast<std::uint32_t>(Router::kOwnerCacheSlots);
+    for (std::uint32_t k = 0; k < 64; ++k) check(7 + k * kSlots);
+    for (std::uint32_t k = 64; k-- > 0;) check(7 + k * kSlots);
+    for (std::size_t i = 0; i < kKeysPerPhase; ++i) {
+      state += 0x9E3779B97F4A7C15ull;
+      const auto mn = static_cast<std::uint32_t>(util::splitmix64(state));
+      check(mn);
+      if (kKeysPerPhase - i <= Router::kOwnerCacheSlots) recent.push_back(mn);
+    }
+  };
+
+  phase();
+  ASSERT_TRUE(router.add_shard(RouterShardConfig{"c", "127.0.0.1",
+                                                 c.server->port(), 0},
+                               &error))
+      << error;
+  ring.add_node("c");
+  phase();
+  ASSERT_TRUE(router.remove_shard("a"));
+  ring.remove_node("a");
+  phase();
+  EXPECT_GE(checked, 1'000'000u);
+  EXPECT_EQ(mismatches, 0u);
   router.stop();
 }
 

@@ -1,9 +1,11 @@
 // The ingest pipeline's batch wake-ups and the WAL's group commit: the WAL
 // bytes match a serial record-at-a-time encoding, an LU is in the WAL file
-// before a lookup can see it, partial batches drain without a flush, and a
-// worker wakes once per batch rather than once per LU.
+// before a lookup can see it, partial batches drain without a flush, a
+// worker wakes once per batch rather than once per LU, and a run submitted
+// as one unit is indistinguishable from its LUs submitted one by one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -11,10 +13,12 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <thread>
 #include <variant>
 #include <vector>
 
+#include "obs/span.h"
 #include "serve/directory.h"
 #include "serve/ingest.h"
 #include "serve/wal.h"
@@ -263,6 +267,129 @@ TEST_F(GroupCommitTest, WorkersWakeOncePerBatchNotPerLu) {
       << stats.batches << " batches for " << stats.accepted << " LUs in "
       << elapsed_ms << " ms";
   pipeline.stop();
+}
+
+/// What one pass of the run-vs-sequential comparison leaves behind.
+struct SubmitOutcome {
+  std::vector<std::uint8_t> wal;
+  /// Every tap call, encoded as the frame the replication hub would send.
+  std::vector<std::uint8_t> taps;
+  IngestStats stats;
+  std::size_t accepted_returned = 0;  ///< Sum of the submit results.
+  /// (trace id, mn, seq) of every recorded span, sorted.
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> spans;
+};
+
+/// Submits `lus` to a paused pipeline with a bounded, shedding queue, a WAL,
+/// both taps and a span tracer, then drains it. `run_sizes` empty submits
+/// one LU per submit()/submit_traced() call; otherwise submit_batch() takes
+/// runs of the given sizes, cycled. The queues are paused while LUs arrive,
+/// so admission depends only on the submission order.
+SubmitOutcome submit_through_pipeline(
+    const std::string& wal_path, std::size_t workers,
+    const std::vector<IngestLu>& lus,
+    const std::vector<std::size_t>& run_sizes) {
+  obs::SpanTracerOptions span_options;
+  span_options.sample_period = 8;
+  span_options.ring_capacity = lus.size();
+  span_options.emit_trace_events = false;
+  obs::SpanTracer tracer(span_options);
+  tracer.set_enabled(true);
+
+  SubmitOutcome outcome;
+  {
+    WalWriter wal(wal_path, FsyncPolicy::kNever);
+    ShardedDirectory directory(directory_options());
+    IngestOptions options;
+    options.sources = 4;
+    options.workers = workers;
+    options.batch_size = 16;
+    options.queue_capacity = 48;
+    options.shed_watermark = 0.5;
+    options.shed_min_displacement = 5.0;
+    options.start_paused = true;
+    options.wal = &wal;
+    options.spans = &tracer;
+    options.lu_tap = [&outcome](const wire::LuMsg& msg) {
+      wire::encode(outcome.taps, msg);
+    };
+    options.traced_lu_tap = [&outcome](const wire::TracedLuMsg& msg) {
+      wire::encode(outcome.taps, msg);
+    };
+    IngestPipeline pipeline(directory, options);
+    if (run_sizes.empty()) {
+      for (const IngestLu& item : lus) {
+        const bool accepted = item.trace.trace_id != 0
+                                  ? pipeline.submit_traced(item.msg, item.trace)
+                                  : pipeline.submit(item.msg);
+        outcome.accepted_returned += accepted ? 1 : 0;
+      }
+    } else {
+      std::size_t next = 0;
+      for (std::size_t r = 0; next < lus.size(); ++r) {
+        const std::size_t size =
+            std::min(run_sizes[r % run_sizes.size()], lus.size() - next);
+        outcome.accepted_returned += pipeline.submit_batch(
+            std::span<const IngestLu>(lus.data() + next, size));
+        next += size;
+      }
+    }
+    pipeline.flush();
+    pipeline.stop();
+    outcome.stats = pipeline.stats();
+  }
+  outcome.wal = file_bytes(wal_path);
+  for (const obs::LuSpan& span : tracer.snapshot().recent) {
+    outcome.spans.emplace_back(span.trace_id, span.mn, span.seq);
+  }
+  std::sort(outcome.spans.begin(), outcome.spans.end());
+  return outcome;
+}
+
+TEST_F(GroupCommitTest, ARunSubmitsLikeItsLusOneByOne) {
+  // 37 MNs, 16 updates each: odd MNs move 10 m per update, even ones 1 m,
+  // so past the shed watermark the even MNs' LUs are shed, and past the
+  // queue capacity every LU is rejected. Every fifth LU carries a trace
+  // context.
+  std::vector<IngestLu> lus;
+  for (std::uint32_t k = 0; k < 16; ++k) {
+    for (std::uint32_t mn = 0; mn < 37; ++mn) {
+      IngestLu item;
+      item.msg = lu(mn, k);
+      item.msg.x = static_cast<double>(k) * (mn % 2 == 1 ? 10.0 : 1.0);
+      if (lus.size() % 5 == 0) {
+        item.trace.trace_id = 0x7000 + lus.size();
+        item.trace.origin_us = 1000 + lus.size();
+        item.trace.send_us = 2000 + lus.size();
+        item.trace.recv_us = 3000 + lus.size();
+      }
+      lus.push_back(item);
+    }
+  }
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const SubmitOutcome one_by_one = submit_through_pipeline(
+        path("single_" + std::to_string(workers) + ".log"), workers, lus, {});
+    const SubmitOutcome runs = submit_through_pipeline(
+        path("runs_" + std::to_string(workers) + ".log"), workers, lus,
+        {1, 7, 64, 3, 200, 2});
+
+    // The comparison only means something if every admission path ran.
+    EXPECT_GT(one_by_one.stats.accepted, 0u);
+    EXPECT_GT(one_by_one.stats.shed_low_info, 0u);
+    EXPECT_GT(one_by_one.stats.rejected_full, 0u);
+    EXPECT_FALSE(one_by_one.spans.empty());
+
+    EXPECT_EQ(runs.wal, one_by_one.wal);
+    EXPECT_EQ(runs.taps, one_by_one.taps);
+    EXPECT_EQ(runs.stats.accepted, one_by_one.stats.accepted);
+    EXPECT_EQ(runs.stats.rejected_full, one_by_one.stats.rejected_full);
+    EXPECT_EQ(runs.stats.shed_low_info, one_by_one.stats.shed_low_info);
+    EXPECT_EQ(runs.stats.applied, one_by_one.stats.applied);
+    EXPECT_EQ(runs.accepted_returned, one_by_one.accepted_returned);
+    EXPECT_EQ(runs.accepted_returned, runs.stats.accepted);
+    EXPECT_EQ(runs.spans, one_by_one.spans);
+  }
 }
 
 }  // namespace

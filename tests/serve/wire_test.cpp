@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -395,6 +396,115 @@ TEST(Wire, TickRoundTripsExactly) {
   const TickMsg& got = std::get<TickMsg>(decoded.msg);
   EXPECT_EQ(got.t, 1234.5);
   EXPECT_EQ(got.tick, tick.tick);
+}
+
+TEST(Wire, EncodedBytesArePinned) {
+  // One frame per message type, byte for byte as the mgrid-lu-v1 encoder
+  // has always written it: WAL files, replication streams and older peers
+  // depend on these bytes. Each frame is appended behind a sentinel byte,
+  // which pins that encode() appends and returns the frame size.
+  const LuMsg lu{0x01020304u, 0xA0B0C0D0u, 1234.5, -12.25, 3.0e8,
+                 0.1,         -0.0,        0.875};
+  TracedLuMsg traced;
+  traced.lu = lu;
+  traced.trace = TraceContext{0x0123456789ABCDEFull, 0x1111222233334444ull,
+                              0x5555666677778888ull, 0x0A0B0C0Du};
+  const auto frame = [](const auto& msg) {
+    std::vector<std::uint8_t> out{0xAA};
+    const std::size_t size = encode(out, msg);
+    EXPECT_EQ(out.front(), 0xAA);
+    EXPECT_EQ(size, out.size() - 1);
+    return std::vector<std::uint8_t>(out.begin() + 1, out.end());
+  };
+  struct Case {
+    MsgType type;
+    std::vector<std::uint8_t> encoded;
+    std::vector<std::uint8_t> pinned;
+  };
+  const std::vector<Case> cases = {
+      {MsgType::kLu,
+       frame(lu),
+       {0x47, 0x4D, 0x01, 0x01, 0x38, 0x00, 0x00, 0x00, 0x04, 0x03, 0x02,
+        0x01, 0xD0, 0xC0, 0xB0, 0xA0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4A,
+        0x93, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x28, 0xC0, 0x00,
+        0x00, 0x00, 0x00, 0xA3, 0xE1, 0xB1, 0x41, 0x9A, 0x99, 0x99, 0x99,
+        0x99, 0x99, 0xB9, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xEC, 0x3F}},
+      {MsgType::kAck,
+       frame(AckMsg{0x11223344u, AckStatus::kOverload, 99.125}),
+       {0x47, 0x4D, 0x01, 0x02, 0x10, 0x00, 0x00, 0x00, 0x44, 0x33, 0x22,
+        0x11, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC8,
+        0x58, 0x40}},
+      {MsgType::kLookup,
+       frame(LookupMsg{0xDEADBEEFu, 7.5}),
+       {0x47, 0x4D, 0x01, 0x03, 0x10, 0x00, 0x00, 0x00, 0xEF, 0xBE, 0xAD,
+        0xDE, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x1E, 0x40}},
+      {MsgType::kLookupReply,
+       frame(LookupReplyMsg{42u, true, true, 10.0, -1.0e-3, 2.5e10}),
+       {0x47, 0x4D, 0x01, 0x04, 0x20, 0x00, 0x00, 0x00, 0x2A, 0x00, 0x00,
+        0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x24, 0x40, 0xFC, 0xA9, 0xF1, 0xD2, 0x4D, 0x62, 0x50, 0xBF, 0x00,
+        0x00, 0x00, 0xE8, 0x76, 0x48, 0x17, 0x42}},
+      {MsgType::kRegionQuery,
+       frame(RegionQueryMsg{1.5, -2.5, 300.0, 0x00C0FFEEu}),
+       {0x47, 0x4D, 0x01, 0x05, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xF8, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x04, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0x72, 0x40, 0xEE,
+        0xFF, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00}},
+      {MsgType::kNearestQuery,
+       frame(NearestQueryMsg{-7.0, 8.0, 0x01000001u}),
+       {0x47, 0x4D, 0x01, 0x06, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x1C, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x20, 0x40, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00}},
+      {MsgType::kTick,
+       frame(TickMsg{60.0, 0x0102030405060708ull}),
+       {0x47, 0x4D, 0x01, 0x07, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x4E, 0x40, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01}},
+      {MsgType::kNeighbor,
+       frame(NeighborMsg{0x89ABCDEFu, 3.25, 100.5, -200.75}),
+       {0x47, 0x4D, 0x01, 0x08, 0x20, 0x00, 0x00, 0x00, 0xEF, 0xCD, 0xAB,
+        0x89, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x0A, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x59, 0x40, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x18, 0x69, 0xC0}},
+      {MsgType::kQueryDone,
+       frame(QueryDoneMsg{17u, 1.0e-9}),
+       {0x47, 0x4D, 0x01, 0x09, 0x10, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E,
+        0x11, 0x3E}},
+      {MsgType::kSubscribe,
+       frame(SubscribeMsg{0x1122334455667788ull, 0xF0E0D0C0B0A09080ull}),
+       {0x47, 0x4D, 0x01, 0x0A, 0x10, 0x00, 0x00, 0x00, 0x88, 0x77, 0x66,
+        0x55, 0x44, 0x33, 0x22, 0x11, 0x80, 0x90, 0xA0, 0xB0, 0xC0, 0xD0,
+        0xE0, 0xF0}},
+      {MsgType::kSnapshotChunk,
+       frame(SnapshotChunkMsg{{0x00, 0x7F, 0x80, 0xFF, 0x4D, 0x47}}),
+       {0x47, 0x4D, 0x01, 0x0B, 0x06, 0x00, 0x00, 0x00, 0x00, 0x7F, 0x80,
+        0xFF, 0x4D, 0x47}},
+      {MsgType::kSnapshotDone,
+       frame(SnapshotDoneMsg{0x0000000100000002ull,
+                                    0xFFFFFFFFFFFFFFFEull}),
+       {0x47, 0x4D, 0x01, 0x0C, 0x10, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x01, 0x00, 0x00, 0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+        0xFF, 0xFF}},
+      {MsgType::kTracedLu,
+       frame(traced),
+       {0x47, 0x4D, 0x02, 0x0D, 0x58, 0x00, 0x00, 0x00, 0x04, 0x03, 0x02,
+        0x01, 0xD0, 0xC0, 0xB0, 0xA0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4A,
+        0x93, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x28, 0xC0, 0x00,
+        0x00, 0x00, 0x00, 0xA3, 0xE1, 0xB1, 0x41, 0x9A, 0x99, 0x99, 0x99,
+        0x99, 0x99, 0xB9, 0x3F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xEC, 0x3F, 0xEF, 0xCD,
+        0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, 0x44, 0x44, 0x33, 0x33, 0x22,
+        0x22, 0x11, 0x11, 0x88, 0x88, 0x77, 0x77, 0x66, 0x66, 0x55, 0x55,
+        0x0D, 0x0C, 0x0B, 0x0A, 0x00, 0x00, 0x00, 0x00}},
+  };
+  ASSERT_EQ(cases.size(), 13u);  // every MsgType
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.type)));
+    EXPECT_EQ(c.encoded, c.pinned);
+  }
 }
 
 }  // namespace

@@ -198,6 +198,15 @@ TEST(Federation, RunPropagatesFederateExceptions) {
   federation.join(recorder);
   EXPECT_THROW(federation.run(0.0, 10.0, 1.0), std::runtime_error);
   EXPECT_EQ(recorder->grants_, (std::vector<SimTime>{1.0, 2.0}));
+
+  // The throw leaves the federation usable: it accepts a new federate, and
+  // a second run (before the bomb's trigger time) completes and counts.
+  EXPECT_EQ(federation.stats().cycles, 0u);
+  auto late = std::make_shared<Recorder>();
+  EXPECT_NO_THROW(federation.join(late));
+  EXPECT_NO_THROW(federation.run(0.0, 2.0, 1.0));
+  EXPECT_EQ(late->grants_, (std::vector<SimTime>{1.0, 2.0}));
+  EXPECT_EQ(federation.stats().cycles, 2u);
 }
 
 TEST(Federation, ZeroCycleRunOnlyStartsAndStops) {
